@@ -8,10 +8,9 @@ keep moving without breaking users:
   TFCommit, plus the 2PC baseline via ``protocol="2pc"``) and
   :class:`ScaledFidesSystem` (dynamic groups over a pluggable ordering
   layer), both configured with :class:`SystemConfig`.
-- **Sequencing**: the :class:`Sequencer` protocol and its two
-  implementations -- the classic single-lane :class:`OrderingService` and
-  the :class:`ShardedOrderingService` -- with the
-  :func:`single_sequencer` / :func:`sharded_sequencer` factories that
+- **Sequencing**: the :class:`OrderingService` -- one sequencer lane per
+  ordering shard; one lane is the paper's single OrdServ -- with the
+  :func:`sharded_sequencer` factory that
   ``ScaledFidesSystem(sequencer=...)`` accepts, and
   :class:`OrderingShardMap` for key-range -> shard placement.
 - **Experiments**: :func:`run` executes one :class:`ExperimentConfig`
@@ -48,15 +47,13 @@ from repro.bench.harness import (
 )
 from repro.common.config import SystemConfig
 from repro.core.fides import FidesSystem
-from repro.core.ordserv import OrderedBlock, OrderingService
+from repro.core.ordserv import OrderedBlock
 from repro.core.scaled import ScaledFidesSystem
 from repro.core.sequencing import (
+    OrderingService,
     OrderingShardMap,
-    Sequencer,
     SequencerFactory,
-    ShardedOrderingService,
     sharded_sequencer,
-    single_sequencer,
 )
 from repro.ledger.anchor import EpochAnchor
 
@@ -70,13 +67,10 @@ __all__ = [
     "OrderingService",
     "OrderingShardMap",
     "ScaledFidesSystem",
-    "Sequencer",
     "SequencerFactory",
-    "ShardedOrderingService",
     "SystemConfig",
     "run",
     "run_experiment",
     "run_scaled_from_config",
     "sharded_sequencer",
-    "single_sequencer",
 ]

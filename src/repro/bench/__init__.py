@@ -13,7 +13,6 @@ from repro.bench.harness import (
     ExperimentResult,
     ScaledExperimentResult,
     run_experiment,
-    run_scaled_experiment,
 )
 from repro.bench.experiments import (
     faultmatrix,
@@ -39,6 +38,5 @@ __all__ = [
     "multiclient_scaling",
     "rows_to_csv",
     "run_experiment",
-    "run_scaled_experiment",
     "scaledgroups",
 ]

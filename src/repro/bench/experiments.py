@@ -22,7 +22,6 @@ from repro.bench.harness import (
     ScaledExperimentResult,
     run_experiment,
     run_pipelined_experiment,
-    run_scaled_experiment,
     run_scaled_from_config,
 )
 from repro.common.errors import ConfigurationError
@@ -40,9 +39,8 @@ def run(config: ExperimentConfig, latency=None):
     This is the single entrypoint the :mod:`repro.api` facade exports:
     ``config.deployment`` selects the runner (``"classic"`` -> one
     coordinator over the whole cluster, ``"scaled"`` -> dynamic groups plus
-    the ordering service), so callers no longer pick between
-    :func:`run_experiment` and the historical ``run_scaled_experiment``
-    keyword-per-knob signature.
+    the ordering service), so callers no longer pick a runner function by
+    deployment.
     """
     if config.deployment == "classic":
         return run_experiment(config, latency=latency)
@@ -281,18 +279,19 @@ def scaledgroups(
     for servers in server_counts:
         for locality in localities:
             for batch in batch_sizes:
-                results.append(
-                    run_scaled_experiment(
-                        label=f"scaled-{servers}s-loc{locality}-b{batch}",
-                        num_servers=servers,
-                        group_size=group_size,
-                        locality=locality,
-                        items_per_shard=items_per_shard,
-                        txns_per_block=batch,
-                        num_requests=num_requests,
-                        num_clients=num_clients,
-                    )
+                config = ExperimentConfig(
+                    label=f"scaled-{servers}s-loc{locality}-b{batch}",
+                    deployment="scaled",
+                    num_servers=servers,
+                    items_per_shard=items_per_shard,
+                    txns_per_block=batch,
+                    ops_per_txn=2,
+                    num_requests=num_requests,
+                    num_clients=num_clients,
+                    group_size=group_size,
+                    locality=locality,
                 )
+                results.append(run_scaled_from_config(config))
     rows = [result.as_row() for result in results]
     return (results, rows) if return_results else rows
 
@@ -317,10 +316,10 @@ def scaleout(
 
     Every point drives a Zipfian-skewed (``home_skew_theta``)
     locality-partitioned workload through 128 single-server groups and the
-    :class:`~repro.core.sequencing.Sequencer` selected by ``shard_counts``:
-    1 is the classic single-lane ordering service (the pre-sharding
-    saturation point), more swap in the sharded service whose lanes order
-    single-shard blocks independently (DESIGN.md section 13).
+    :class:`~repro.core.sequencing.OrderingService` with ``shard_counts``
+    lanes: 1 is the paper's single OrdServ (the pre-sharding saturation
+    point); more lanes order single-shard blocks independently (DESIGN.md
+    section 13).
     ``cross_shard_ratios`` sets the fraction of transactions spanning two
     home partitions; each ratio's 1-shard point is the reference for that
     ratio's ``speedup vs 1 shard`` column, and ``ordserv busy`` reports the

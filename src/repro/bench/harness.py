@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 import statistics
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.common.config import SystemConfig
 from repro.core.fides import PROTOCOL_TFCOMMIT, FidesSystem
 from repro.core.scaled import ScaledFidesSystem
+from repro.core.sequencing import sharded_sequencer
 from repro.net.latency import LatencyModel, lan_latency
 from repro.sim.context import FixedCompute
 from repro.workload.ycsb import PartitionedWorkload, YcsbWorkload
@@ -74,9 +74,7 @@ class ExperimentConfig:
     locality: float = 1.0
     #: Zipfian skew over home partitions (0.0 = uniform round-robin).
     home_skew_theta: float = 0.0
-    #: Reorder window of the single-lane ordering service.
-    reorder_window: int = 0
-    #: Ordering shards; > 1 swaps in the sharded sequencer (DESIGN.md §13).
+    #: Sequencer lanes; 1 is the paper's single OrdServ (DESIGN.md §13).
     ordering_shards: int = 1
     #: Per-lane buffer bound of the sharded sequencer.
     epoch_max_blocks: int = 32
@@ -267,12 +265,12 @@ class ScaledExperimentResult:
     baseline_tps: float = 0.0
     speedup: float = 0.0
     txn_latency_ms: float = 0.0
-    #: Ordering shards the run used (1 = classic single-lane sequencer).
+    #: Ordering shards the run used (1 = the paper's single OrdServ).
     ordering_shards: int = 1
     #: Busiest ordering lane's busy time over the makespan -- how saturated
     #: the ordering layer is (the scale-out sweep's headline bottleneck metric).
     ordering_busy_frac: float = 0.0
-    #: Epoch anchors sealed (0 under the single-lane sequencer).
+    #: Epoch anchors sealed (0 under a one-lane sequencer).
     epochs: int = 0
 
     def as_row(self) -> Dict[str, object]:
@@ -312,36 +310,29 @@ def run_scaled_from_config(
 ) -> ScaledExperimentResult:
     """Run one scaled-deployment point described by an :class:`ExperimentConfig`.
 
-    ``config.ordering_shards`` selects the sequencer: 1 keeps the classic
-    single-lane :class:`~repro.core.ordserv.OrderingService` (with
-    ``config.reorder_window``), more swaps in the sharded service.  With
-    ``baseline=True`` the same locality-partitioned workload also runs on a
-    classic single-coordinator :class:`FidesSystem` -- each with its own
-    seed-matched latency model, since sharing one instance would let the
-    first run advance the RNG stream the second samples from.  The scale-out
+    ``config.ordering_shards`` sets the sequencer's lane count (1 is the
+    paper's single OrdServ).  With ``baseline=True`` the same
+    locality-partitioned workload also runs on a classic single-coordinator
+    :class:`FidesSystem` -- each with its own seed-matched latency model,
+    since sharing one instance would let the first run advance the RNG
+    stream the second samples from.  The scale-out
     sweep passes ``baseline=False``: dragging 100+ servers through a
     single-coordinator round per block is not a useful baseline there (the
     1-shard scaled run is).
     """
-    from repro.core.sequencing import sharded_sequencer, single_sequencer
-
     system_config = config.system_config()
     compute_model = (
         FixedCompute(config.fixed_compute_ms / 1000.0)
         if config.fixed_compute_ms is not None
         else None
     )
-    sequencer = (
-        sharded_sequencer(config.ordering_shards, epoch_max_blocks=config.epoch_max_blocks)
-        if config.ordering_shards > 1
-        else single_sequencer(config.reorder_window)
-    )
     scaled = ScaledFidesSystem(
         system_config,
         latency=latency or lan_latency(seed=config.seed),
-        reorder_window=config.reorder_window,
         compute_model=compute_model,
-        sequencer=sequencer,
+        sequencer=sharded_sequencer(
+            config.ordering_shards, epoch_max_blocks=config.epoch_max_blocks
+        ),
     )
     workload = PartitionedWorkload(
         partitions=locality_partitions(scaled, config.group_size),
@@ -366,7 +357,7 @@ def run_scaled_from_config(
     result.aborted_txns = outcome.aborted
     result.group_coordinators = len(scaled.active_group_coordinators)
     result.distinct_groups = len(scaled.groups_used())
-    result.epochs = len(getattr(scaled.ordering, "epoch_anchors", ()))
+    result.epochs = len(scaled.ordering.epoch_anchors)
 
     block_latencies = []
     txn_latencies = []
@@ -410,49 +401,6 @@ def run_scaled_from_config(
     if result.baseline_tps > 0:
         result.speedup = result.scaled_tps / result.baseline_tps
     return result
-
-
-def run_scaled_experiment(
-    label: str,
-    num_servers: int = 4,
-    group_size: int = 2,
-    locality: float = 1.0,
-    items_per_shard: int = 200,
-    txns_per_block: int = 4,
-    ops_per_txn: int = 2,
-    num_requests: int = 40,
-    num_clients: int = 2,
-    reorder_window: int = 0,
-    seed: int = 2020,
-) -> ScaledExperimentResult:
-    """Deprecated shim: build an :class:`ExperimentConfig` and delegate.
-
-    Kept for callers of the historical keyword-per-knob signature; new code
-    should construct an ``ExperimentConfig(deployment="scaled", ...)`` and
-    call :func:`repro.bench.experiments.run` (or
-    :func:`run_scaled_from_config` directly).
-    """
-    warnings.warn(
-        "run_scaled_experiment(label, ...) is deprecated; use "
-        "repro.bench.experiments.run(ExperimentConfig(deployment='scaled', ...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    config = ExperimentConfig(
-        label=label,
-        deployment="scaled",
-        num_servers=num_servers,
-        items_per_shard=items_per_shard,
-        txns_per_block=txns_per_block,
-        ops_per_txn=ops_per_txn,
-        num_requests=num_requests,
-        num_clients=num_clients,
-        group_size=group_size,
-        locality=locality,
-        reorder_window=reorder_window,
-        seed=seed,
-    )
-    return run_scaled_from_config(config)
 
 
 @dataclass

@@ -9,7 +9,7 @@
 - :mod:`repro.check.invariants` -- the safety-property library evaluated
   against every explored run;
 - :mod:`repro.check.scenarios` -- small checkable deployments (crash,
-  Byzantine, ordering-service reorder) built from the real system classes;
+  Byzantine, ordering-service lane merges) built from the real system classes;
 - :mod:`repro.check.explorer` -- prefix-branching BFS/DFS with fingerprint
   dedup and counterexample minimization;
 - :mod:`repro.check.replay` -- saved-trace replay, turning counterexamples

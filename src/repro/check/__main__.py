@@ -1,7 +1,7 @@
 """Command-line entry point for the model checker.
 
 ``python -m repro.check --smoke`` runs the bounded CI budget: every
-registered scenario (crash, Byzantine, ordering-service reorder, and pure
+registered scenario (crash, Byzantine, ordering-service lane merges, and pure
 interleaving branches) under a small per-scenario run cap, failing the
 process if any invariant violation is found.  Counterexamples are minimized
 and -- with ``--traces-dir`` -- saved as replayable JSON traces, which CI

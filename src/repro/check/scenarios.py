@@ -13,8 +13,9 @@ library evaluates.  All nondeterminism flows through :mod:`repro.check.choices`:
 - Byzantine coordinator actions (:class:`ChoiceByzantinePolicy`: per round
   the coordinator picks honest / drop a victim's root / fake a victim's
   root / equivocate, and the victim itself is a choice);
-- ordering-service release order (``ordserv-pick`` feature inside
-  ``OrderingService._pick_next``).
+- ordering-service lane merges (``shard-merge`` feature inside
+  ``OrderingService._merge_lanes``): which buffered lane lands first when a
+  cross-shard block or a flush merges them.
 
 Configurations are deliberately tiny (3 servers, 4 items per shard, hash
 "signing", fixed compute) so a full run costs tens of milliseconds and the
@@ -30,6 +31,7 @@ from repro.check.invariants import RunRecord
 from repro.common.config import SystemConfig
 from repro.core.fides import FidesSystem
 from repro.core.scaled import ScaledFidesSystem
+from repro.core.sequencing import sharded_sequencer
 from repro.server.faults import FaultPolicy
 from repro.sim.context import FixedCompute
 from repro.txn.operations import ReadOp, WriteOp
@@ -305,20 +307,23 @@ class ClassicByzantineScenario(Scenario):
 class ScaledReorderScenario(Scenario):
     """3-group scaled deployment driving the ordering service's freedom.
 
-    Three disjoint-group transactions overflow a reorder window of 2, so
-    the service's release pick is a live branch; a fourth cross-group
-    transaction exercises ``flush_conflicting`` and the dependency rules
-    under every explored release order.
+    A 3-lane sequencer gives each server its own lane, so the three
+    disjoint-group transactions of the first slice buffer in three lanes and
+    meet at a live ``shard-merge`` lane pick when the slice's trailing flush
+    merges them -- the "blocks of disjoint groups may be ordered
+    arbitrarily" freedom the paper grants OrdServ.  A cross-group
+    transaction in a second slice then exercises ``flush_conflicting``, the
+    epoch merge and the dependency rules after every explored release order.
     """
 
     name = "scaled-reorder"
-    features = frozenset({"ordserv-pick", "net-order"})
+    features = frozenset({"shard-merge", "net-order"})
 
     def run(self) -> RunRecord:
         system = ScaledFidesSystem(
             config=tiny_config(),
-            reorder_window=2,
             compute_model=FixedCompute(0.001),
+            sequencer=sharded_sequencer(3),
         )
         s0, s1, s2 = system.config.server_ids
         items = {
@@ -331,10 +336,12 @@ class ScaledReorderScenario(Scenario):
                     _spec(0, items[s0][0], items[s0][1]),
                     _spec(1, items[s1][0], items[s1][1]),
                     _spec(2, items[s2][0], items[s2][1]),
-                    # Cross-group: reads s0's shard, writes s1's.
-                    TransactionSpec(3, (WriteOp(items[s1][2], 7), ReadOp(items[s0][2]))),
                 ]
-            )
+            ),
+            # Cross-group: reads s0's shard, writes s1's.
+            system.run_workload(
+                [TransactionSpec(3, (WriteOp(items[s1][2], 7), ReadOp(items[s0][2])))]
+            ),
         ]
         system.sim.drain()
         return RunRecord(system=system, slices=slices)
@@ -358,8 +365,6 @@ class ShardedOrderingScenario(Scenario):
     features = frozenset({"shard-merge", "net-order"})
 
     def run(self) -> RunRecord:
-        from repro.core.sequencing import sharded_sequencer
-
         system = ScaledFidesSystem(
             config=tiny_config(num_servers=4),
             compute_model=FixedCompute(0.001),

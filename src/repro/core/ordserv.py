@@ -8,27 +8,22 @@ the hash-of-previous-block pointers; it can be realised with PBFT among the
 coordinators, with Kafka (as in Veritas), or with a dependency-tracking
 scheme such as ParBlockchain.
 
-This module implements the abstraction directly (see the DESIGN.md
-substitution table): a sequencer that
-
-* accepts blocks published by group coordinators together with the group that
-  produced them,
-* preserves submission order between blocks of *overlapping* groups (and, more
-  strongly, between blocks with data dependencies), while freely ordering
-  blocks of disjoint groups,
-* assigns global heights, chains the blocks with hash pointers, and
-* delivers the finalised stream to every subscribed server.
+The service itself is :class:`~repro.core.sequencing.OrderingService` (see
+the DESIGN.md substitution table): it accepts blocks published by group
+coordinators together with the group that produced them, preserves
+submission order between blocks of *overlapping* groups while freely
+ordering blocks of disjoint groups, assigns global heights, chains the
+blocks with hash pointers, and delivers the finalised stream to every
+subscribed server.  This module holds the stream types it shares with the
+deployment layer and the test suites.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Sequence, Tuple
 
-from repro.check.choices import choose
-from repro.common.errors import ProtocolInvariantError
 from repro.core.grouping import ServerGroup, dependency_between
-from repro.crypto.hashing import EMPTY_HASH
 from repro.ledger.block import Block
 
 
@@ -36,8 +31,8 @@ from repro.ledger.block import Block
 class OrderedBlock:
     """A block as finalised by the ordering service.
 
-    ``shards`` names the ordering shards the block involved (empty for the
-    single-sequencer service, where the stream has no shard structure); the
+    ``shards`` names the ordering shards the block involved (empty for a
+    one-lane service, where the stream has no shard structure); the
     deployment layer uses it to charge the delivery to per-shard timeline
     resources.
     """
@@ -56,9 +51,9 @@ def stream_respects_dependencies(ordered: Sequence[OrderedBlock]) -> bool:
     """Check a finalised stream never reorders dependent blocks.
 
     For every pair of ordered blocks from overlapping groups, the data
-    dependencies must point forward in the stream.  Shared by every
-    :class:`~repro.core.sequencing.Sequencer` implementation's
-    ``verify_dependency_order`` and by the test suites.
+    dependencies must point forward in the stream.  Shared by
+    :meth:`~repro.core.sequencing.OrderingService.verify_dependency_order`
+    and by the test suites.
     """
     for later_index, later in enumerate(ordered):
         for earlier in ordered[:later_index]:
@@ -79,186 +74,17 @@ class _PendingBlock:
     sequence: int
 
 
-class OrderingService:
-    """A dependency-preserving atomic broadcast of per-group blocks.
+def round_identity(block: Block, group: ServerGroup):
+    """What makes two published blocks "the same round".
 
-    ``reorder_window`` controls how aggressively independent blocks may be
-    reordered relative to submission order; 0 (the default) keeps submission
-    order, which is always dependency-safe, while larger windows let the
-    tests exercise the "disjoint groups may be ordered arbitrarily" freedom.
+    Group membership plus the transaction set -- the view is deliberately
+    *excluded*: a successor coordinator re-proposes a stalled round at a
+    higher view, and if the original publication is still buffered in a
+    sequencer lane (the deposed coordinator died after publishing but before
+    anyone saw the stream), both copies reach the service.  Only one may
+    enter the global log.
     """
-
-    def __init__(self, reorder_window: int = 0) -> None:
-        self._ordered: List[OrderedBlock] = []
-        self._subscribers: List[Callable[[OrderedBlock], None]] = []
-        self._sequence = 0
-        self._reorder_window = max(0, reorder_window)
-        self._pending: List[_PendingBlock] = []
-        #: Round identities already accepted (pending or finalised); see
-        #: :func:`round_identity`.
-        self._identities: set = set()
-        #: Observability bundle (attached by the deployment layer).
-        self._obs = None
-
-    def attach_obs(self, obs) -> None:
-        """Report publication/ordering metrics through ``obs``."""
-        self._obs = obs
-
-    # -- publication ---------------------------------------------------------------
-
-    @staticmethod
-    def round_identity(block: Block, group: ServerGroup):
-        """What makes two published blocks "the same round".
-
-        Group membership plus the transaction set -- the view is deliberately
-        *excluded*: a successor coordinator re-proposes a stalled round at a
-        higher view, and if the original publication is still floating in the
-        reorder window (the deposed coordinator died after publishing but
-        before anyone saw the stream), both copies reach the service.  Only
-        one may enter the global log.
-        """
-        return (
-            tuple(sorted(group.members)),
-            tuple(sorted(txn.txn_id for txn in block.transactions)),
-        )
-
-    def seen(self, block: Block, group: ServerGroup) -> bool:
-        """Whether a block with this round identity was already accepted."""
-        return self.round_identity(block, group) in self._identities
-
-    def publish(self, block: Block, group: ServerGroup) -> bool:
-        """A group coordinator hands over a locally co-signed block.
-
-        Returns ``False`` (publication ignored) when a block with the same
-        round identity was already accepted -- the dedup that makes
-        coordinator failover's re-proposal idempotent at the ordering layer.
-        """
-        identity = self.round_identity(block, group)
-        if identity in self._identities:
-            if self._obs is not None:
-                self._obs.metrics.counter("ordserv.duplicates_suppressed")
-            return False
-        self._identities.add(identity)
-        if self._obs is not None:
-            self._obs.metrics.counter("ordserv.published")
-        self._pending.append(_PendingBlock(block=block, group=group, sequence=self._sequence))
-        self._sequence += 1
-        if len(self._pending) > self._reorder_window:
-            self._drain()
-        return True
-
-    def flush(self) -> None:
-        """Finalise every pending block."""
-        self._drain(force=True)
-
-    def flush_conflicting(self, group: ServerGroup) -> None:
-        """Finalise every pending block whose group overlaps ``group``.
-
-        A group coordinator calls this before starting a new TFCommit round:
-        the speculative Merkle roots its cohorts are about to compute must
-        reflect every already-published block touching the same shards, so
-        blocks of overlapping groups cannot be left floating in the reorder
-        window.  Blocks of disjoint groups stay pending and keep their
-        reordering freedom -- unless an overlapping block depends on them, in
-        which case they must land first to keep the stream dependency-safe.
-        """
-        must_land = [p for p in self._pending if p.group.overlaps(group)]
-        changed = True
-        while changed:
-            changed = False
-            for pending in self._pending:
-                if pending in must_land:
-                    continue
-                feeds_into = any(
-                    pending.sequence < landing.sequence
-                    and pending.group.overlaps(landing.group)
-                    and dependency_between(
-                        pending.block.transactions, landing.block.transactions
-                    )
-                    for landing in must_land
-                )
-                if feeds_into:
-                    must_land.append(pending)
-                    changed = True
-        # Submission order within the selected subset is always
-        # dependency-safe, and every upstream dependency was pulled in above.
-        for pending in sorted(must_land, key=lambda p: p.sequence):
-            self._pending.remove(pending)
-            self._finalize(pending)
-
-    def _drain(self, force: bool = False) -> None:
-        while self._pending and (force or len(self._pending) > self._reorder_window):
-            candidate_index = self._pick_next()
-            pending = self._pending.pop(candidate_index)
-            self._finalize(pending)
-
-    def _pick_next(self) -> int:
-        """Pick the next pending block to finalise.
-
-        Any pending block may go next as long as no *earlier-submitted*
-        pending block has a dependency flowing into it; with the default
-        window of 0 this is always index 0.  Under the model checker the
-        pick among all eligible candidates is a branch point, so every
-        dependency-safe release order of the reorder window gets explored.
-        """
-        eligible: List[int] = []
-        for index, candidate in enumerate(self._pending):
-            earlier = self._pending[:index]
-            if not any(
-                prior.group.overlaps(candidate.group)
-                and dependency_between(prior.block.transactions, candidate.block.transactions)
-                for prior in earlier
-            ):
-                eligible.append(index)
-        if not eligible:
-            return 0
-        pick = choose("ordserv/pick-next", len(eligible), 0, feature="ordserv-pick")
-        return eligible[pick]
-
-    def _finalize(self, pending: _PendingBlock) -> None:
-        for prior in self._pending:
-            if (
-                prior.sequence < pending.sequence
-                and prior.group.overlaps(pending.group)
-                and dependency_between(prior.block.transactions, pending.block.transactions)
-            ):
-                raise ProtocolInvariantError(
-                    f"ordering service would finalise block seq={pending.sequence} "
-                    f"before pending dependency seq={prior.sequence} of an "
-                    "overlapping group"
-                )
-        previous_hash = self._ordered[-1].block_hash if self._ordered else EMPTY_HASH
-        chained = replace(
-            pending.block, height=len(self._ordered), previous_hash=previous_hash
-        )
-        ordered = OrderedBlock(
-            global_height=len(self._ordered), block=chained, group=pending.group
-        )
-        self._ordered.append(ordered)
-        if self._obs is not None:
-            self._obs.metrics.counter("ordserv.ordered")
-            self._obs.metrics.gauge("ordserv.stream_length", float(len(self._ordered)))
-        for subscriber in self._subscribers:
-            subscriber(ordered)
-
-    # -- delivery --------------------------------------------------------------------
-
-    def subscribe(self, callback: Callable[[OrderedBlock], None]) -> None:
-        """Register a delivery callback (one per server, typically)."""
-        self._subscribers.append(callback)
-
-    @property
-    def ordered_blocks(self) -> List[OrderedBlock]:
-        return list(self._ordered)
-
-    @property
-    def stream_length(self) -> int:
-        return len(self._ordered)
-
-    def verify_dependency_order(self) -> bool:
-        """Check that the finalised stream never reorders dependent blocks.
-
-        Used by tests and by the auditor-style sanity check; see
-        :func:`stream_respects_dependencies`.
-        """
-        return stream_respects_dependencies(self._ordered)
+    return (
+        tuple(sorted(group.members)),
+        tuple(sorted(txn.txn_id for txn in block.transactions)),
+    )

@@ -7,7 +7,7 @@ acts as the coordinator to terminate that transaction"; the per-group blocks
 are then merged into the single consistently ordered global log by an
 ordering service (realisable with Kafka as in Veritas, or with
 dependency-tracking as in ParBlockchain -- here
-:class:`~repro.core.ordserv.OrderingService`).
+:class:`~repro.core.sequencing.OrderingService`).
 
 :class:`ScaledFidesSystem` wires the pieces together:
 
@@ -36,8 +36,8 @@ from repro.common.errors import ConfigurationError, ProtocolInvariantError
 from repro.common.types import ServerId, Value
 from repro.core.fides import PROTOCOL_TFCOMMIT, FidesSystem
 from repro.core.grouping import ServerGroup, group_for_batch, group_for_transaction
-from repro.core.ordserv import OrderedBlock, OrderingService
-from repro.core.sequencing import Sequencer, SequencerFactory, single_sequencer
+from repro.core.ordserv import OrderedBlock
+from repro.core.sequencing import OrderingService, SequencerFactory, sharded_sequencer
 from repro.core.tfcommit import TFCommitCoordinator, TimingBreakdown, timed_broadcast
 from repro.core.viewchange import ViewChangeOutcome, elect_successor, run_view_change
 from repro.crypto.keys import keypair_for
@@ -71,7 +71,7 @@ class GroupTFCommitCoordinator(TFCommitCoordinator):
         server,
         network: Network,
         shard_map: ShardMap,
-        ordering: Sequencer,
+        ordering: OrderingService,
         system: "ScaledFidesSystem",
         txns_per_block: int = 1,
         latency: Optional[LatencyModel] = None,
@@ -105,9 +105,9 @@ class GroupTFCommitCoordinator(TFCommitCoordinator):
             raise ProtocolInvariantError(
                 f"batch group coordinator {group.coordinator} is not {self.coordinator_id}"
             )
-        # Blocks of overlapping groups still floating in the ordering
-        # service's reorder window must land first: the speculative roots
-        # this round is about to compute have to reflect their writes.
+        # Blocks of overlapping groups still buffered in a sequencer lane
+        # must land first: the speculative roots this round is about to
+        # compute have to reflect their writes.
         self._ordering.flush_conflicting(group)
         self._current_group = group
         self.server_ids = sorted(group.members)
@@ -122,9 +122,9 @@ class GroupTFCommitCoordinator(TFCommitCoordinator):
             self.server_ids = [self.coordinator_id]
         if result.block is not None:
             # If the ordering service already finalised the block (always
-            # true with a reorder window of 0), the system restamps the
-            # result with the chained block, the real global height, and any
-            # delivery failures now; otherwise the result is registered and
+            # true with one lane), the system restamps the result with the
+            # chained block, the real global height, and any delivery
+            # failures now; otherwise the result is registered and
             # restamped when the stream delivers it.  Until then outcomes
             # carry ``None`` rather than the misleading placeholder 0.
             result.outcomes = [
@@ -156,7 +156,7 @@ class GroupTFCommitCoordinator(TFCommitCoordinator):
     def _deliver_block(self, final_block: Block, timing: TimingBreakdown) -> List[Dict]:
         """Publish the co-signed group block; delivery happens via OrdServ.
 
-        The ordering service may hold the block in its reorder window, so the
+        The ordering service may buffer the block in a sequencer lane, so the
         delivery cost is charged to this round's timing when the block is
         actually finalised (the system keeps the timing registered until
         then).  The round's timeline task is handed over with it: the
@@ -167,8 +167,8 @@ class GroupTFCommitCoordinator(TFCommitCoordinator):
         if self._ordering.seen(final_block, self._current_group):
             # The round was already published: the deposed coordinator died
             # *after* handing its block to the ordering service, and this is
-            # a successor's re-proposal racing the original through the
-            # reorder window.  The original publication carries the decision;
+            # a successor's re-proposal racing the original through a
+            # sequencer lane.  The original publication carries the decision;
             # the duplicate must not enter the stream twice.
             return []
         self._system.register_inflight(
@@ -213,16 +213,12 @@ class ScaledFidesSystem(FidesSystem):
     disjoint shard sets commit through distinct group coordinators and the
     global log is produced by the ordering service's atomic broadcast.
 
-    The ordering layer is pluggable through ``sequencer``, a
+    The ordering layer is chosen through ``sequencer``, a
     :data:`~repro.core.sequencing.SequencerFactory` called with the system's
     config once the server set is known.  The default,
-    ``single_sequencer(reorder_window)``, reproduces the classic
-    single-lane :class:`OrderingService` bit-for-bit;
-    :func:`~repro.core.sequencing.sharded_sequencer` swaps in the sharded
-    service (DESIGN.md §13).  ``reorder_window`` only applies to the
-    default factory: 0 keeps submission order; larger windows let blocks of
-    disjoint groups be reordered, exercising the freedom the paper grants
-    OrdServ.
+    ``sharded_sequencer(1)``, is the paper's single OrdServ: one lane that
+    finalises every block on publish.  More lanes let blocks of disjoint
+    shards order locally and merge at cross-shard epochs (DESIGN.md §13).
     """
 
     def __init__(
@@ -230,13 +226,11 @@ class ScaledFidesSystem(FidesSystem):
         config: Optional[SystemConfig] = None,
         latency: Optional[LatencyModel] = None,
         initial_value: Value = 0,
-        reorder_window: int = 0,
         state_store_factory=None,
         compute_model=None,
         obs=None,
         sequencer: Optional[SequencerFactory] = None,
     ) -> None:
-        self._reorder_window = reorder_window
         self._sequencer_factory = sequencer
         super().__init__(
             config=config,
@@ -251,8 +245,8 @@ class ScaledFidesSystem(FidesSystem):
     # -- wiring ---------------------------------------------------------------------
 
     def _wire_termination(self) -> None:
-        factory = self._sequencer_factory or single_sequencer(self._reorder_window)
-        self.ordering: Sequencer = factory(self.config)
+        factory = self._sequencer_factory or sharded_sequencer(1)
+        self.ordering: OrderingService = factory(self.config)
         self.ordering.attach_obs(self.sim.obs)
         self._group_coordinators: Dict[ServerId, GroupTFCommitCoordinator] = {}
         #: signing digest -> the round timing awaiting its delivery charge.
@@ -272,7 +266,7 @@ class ScaledFidesSystem(FidesSystem):
         self._chained_by_digest: Dict[bytes, Block] = {}
         #: signing digest -> per-server delivery failure responses.
         self._failures_by_digest: Dict[bytes, List[Dict]] = {}
-        #: signing digest -> round result awaiting delivery (reorder window).
+        #: signing digest -> round result awaiting delivery (lane buffer).
         self._pending_results: Dict[bytes, object] = {}
         #: Global height the next ordered delivery must carry (the stream is
         #: an atomic broadcast: no gaps, no replays).
@@ -282,9 +276,7 @@ class ScaledFidesSystem(FidesSystem):
             ORDSERV_ID, keypair_for(ORDSERV_ID, seed=self.config.seed)
         )
         self.ordering.subscribe(self._deliver_ordered)
-        subscribe_anchors = getattr(self.ordering, "subscribe_anchors", None)
-        if subscribe_anchors is not None:
-            subscribe_anchors(self._broadcast_anchor)
+        self.ordering.subscribe_anchors(self._broadcast_anchor)
         for server_id, server in self.servers.items():
             server.set_coordinator_role(GroupDispatcher(self, server_id))
         #: No single designated coordinator exists in the scaled deployment.
@@ -400,10 +392,10 @@ class ScaledFidesSystem(FidesSystem):
     def attach_round_result(self, signing_digest: bytes, result) -> None:
         """Bind a round's result to its published block.
 
-        If the block was already delivered (reorder window 0) the result is
-        restamped immediately with the chained block, its global height, and
-        any per-server delivery failures; otherwise the restamp happens when
-        the ordering service delivers it.
+        If the block was already delivered (always, with one lane) the
+        result is restamped immediately with the chained block, its global
+        height, and any per-server delivery failures; otherwise the restamp
+        happens when the ordering service delivers it.
         """
         chained = self._chained_by_digest.get(signing_digest)
         if chained is not None:
@@ -449,9 +441,10 @@ class ScaledFidesSystem(FidesSystem):
         task = self._inflight_tasks.pop(digest, None)
         span = self._inflight_spans.pop(digest, None)
         label = f"ordserv/deliver-{ordered.global_height}"
-        # A sharded sequencer stamps the block's ordering shards: its
+        # A multi-lane sequencer stamps the block's ordering shards: its
         # delivery occupies only those lanes' timeline resources, so
-        # disjoint shards interleave and a cross-shard block barriers.
+        # disjoint shards interleave and a cross-shard block barriers.  A
+        # one-lane stream has no shard stamps and uses the single resource.
         resources = tuple(
             f"{ORDSERV_RESOURCE}/s{shard}" for shard in ordered.shards
         ) or (ORDSERV_RESOURCE,)
@@ -546,16 +539,17 @@ class ScaledFidesSystem(FidesSystem):
     def audit(self):
         """Run the full offline audit, including epoch-anchor verification.
 
-        With the default single sequencer this is exactly the base audit;
-        a sharded sequencer additionally has its anchor chain replayed
-        against the reference log (DESIGN.md §13).
+        With one lane (no anchors are sealed) this is exactly the base
+        audit; a multi-lane sequencer additionally has its anchor chain
+        replayed against the reference log (DESIGN.md §13).
         """
-        anchors = getattr(self.ordering, "epoch_anchors", None)
-        shard_map = getattr(self.ordering, "shard_map", None)
-        if not anchors or shard_map is None:
+        anchors = self.ordering.epoch_anchors
+        if not anchors:
             return super().audit()
         return self.auditor().run_audit(
-            self.servers, epoch_anchors=anchors, ordering_shard_map=shard_map
+            self.servers,
+            epoch_anchors=anchors,
+            ordering_shard_map=self.ordering.shard_map,
         )
 
     # -- workload-engine hooks ----------------------------------------------------------

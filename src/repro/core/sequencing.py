@@ -1,15 +1,13 @@
-"""The ``Sequencer`` API and the sharded ordering service (DESIGN.md §13).
+"""The ordering service: one sequencer lane per ordering shard (DESIGN.md §13).
 
 The paper's global ordering service is its own scalability ceiling: every
 co-signed group block funnels through one sequencer, so throughput saturates
-long before the per-group TFCommit coordinators do.  This module first pins
-down the small surface :class:`~repro.core.scaled.ScaledFidesSystem`
-actually needs from an ordering layer -- the :class:`Sequencer` protocol --
-and then provides a second implementation,
-:class:`ShardedOrderingService`, that moves the ceiling: one logical
-sequencer lane per *ordering shard* (a contiguous range of servers, hence of
-key ranges), with single-shard blocks ordered locally in their lane and only
-cross-shard blocks paying for a global epoch merge.
+long before the per-group TFCommit coordinators do.  :class:`OrderingService`
+moves the ceiling: one logical sequencer lane per *ordering shard* (a
+contiguous range of servers, hence of key ranges), with single-shard blocks
+ordered locally in their lane and only cross-shard blocks paying for a
+global epoch merge.  With one lane it is the paper's single OrdServ: every
+block lands on publish and no anchors are sealed.
 
 Why lane-local ordering is dependency-safe: a block's group is exactly the
 set of servers storing its items, and ordering shards partition the servers.
@@ -34,25 +32,15 @@ oblivious to how the stream was produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.check.choices import choose
 from repro.common.errors import ConfigurationError, ProtocolInvariantError
 from repro.core.grouping import ServerGroup, dependency_between
 from repro.core.ordserv import (
     OrderedBlock,
-    OrderingService,
     _PendingBlock,
+    round_identity,
     stream_respects_dependencies,
 )
 from repro.crypto.hashing import EMPTY_HASH
@@ -63,52 +51,6 @@ from repro.ledger.anchor import (
     fold_shard_head,
 )
 from repro.ledger.block import Block
-
-
-@runtime_checkable
-class Sequencer(Protocol):
-    """What the scaled deployment needs from an ordering layer.
-
-    The contract every implementation must honour:
-
-    * ``publish`` is idempotent per round identity (group membership + txn
-      set) and returns ``False`` on a suppressed duplicate;
-    * the finalized stream is a single gapless hash chain -- the *n*-th
-      delivered :class:`~repro.core.ordserv.OrderedBlock` has
-      ``global_height == n`` and extends the previous block's hash;
-    * the stream never orders a block before another block it depends on
-      when their groups overlap (``verify_dependency_order``);
-    * ``flush_conflicting(group)`` lands every floating block whose group
-      overlaps ``group`` (plus whatever must precede those blocks) before
-      returning, so a coordinator's next round reads a settled prefix;
-    * subscribers registered via ``subscribe`` see every finalized block,
-      in stream order, exactly once.
-    """
-
-    def attach_obs(self, obs) -> None: ...
-
-    def seen(self, block: Block, group: ServerGroup) -> bool: ...
-
-    def publish(self, block: Block, group: ServerGroup) -> bool: ...
-
-    def flush(self) -> None: ...
-
-    def flush_conflicting(self, group: ServerGroup) -> None: ...
-
-    def subscribe(self, callback: Callable[[OrderedBlock], None]) -> None: ...
-
-    @property
-    def ordered_blocks(self) -> List[OrderedBlock]: ...
-
-    @property
-    def stream_length(self) -> int: ...
-
-    def verify_dependency_order(self) -> bool: ...
-
-
-#: A factory the deployment calls with its ``SystemConfig`` once the server
-#: set is known; keeps ``ScaledFidesSystem`` ignorant of concrete classes.
-SequencerFactory = Callable[[object], Sequencer]
 
 
 @dataclass(frozen=True)
@@ -161,15 +103,21 @@ class _ShardLane:
         self.head: bytes = GENESIS_SHARD_HEAD
 
 
-class ShardedOrderingService:
-    """One sequencer lane per ordering shard, merged at cross-shard epochs.
+class OrderingService:
+    """A dependency-preserving atomic broadcast of per-group blocks.
 
+    One sequencer lane per ordering shard, merged at cross-shard epochs.
     Single-shard blocks buffer in their lane (ordering locally, bounded by
     ``epoch_max_blocks``); a cross-shard publication drains every lane --
     lane order is a model-checker choice point (feature ``"shard-merge"``)
     -- finalizes the cross-shard block, and seals an epoch anchor.
     ``flush()`` seals the final, possibly cross-shard-free epoch so the
     anchor chain always covers the whole stream.
+
+    With one lane there is no merge point to batch for: a published block
+    lands at once, its :attr:`OrderedBlock.shards` stays empty (the stream
+    has no shard structure), and no anchor is sealed -- one would only
+    restate the global hash chain.
     """
 
     def __init__(self, shard_map: OrderingShardMap, epoch_max_blocks: int = 32) -> None:
@@ -220,16 +168,19 @@ class ShardedOrderingService:
 
     def seen(self, block: Block, group: ServerGroup) -> bool:
         """Whether a block with this round identity was already accepted."""
-        return OrderingService.round_identity(block, group) in self._identities
+        return round_identity(block, group) in self._identities
 
     def publish(self, block: Block, group: ServerGroup) -> bool:
         """A group coordinator hands over a locally co-signed block.
 
-        Same idempotency contract as the single sequencer; routing differs:
-        a single-shard block buffers in its lane, a cross-shard block
-        triggers the epoch merge.
+        Returns ``False`` (publication ignored) when a block with the same
+        round identity was already accepted -- the dedup that makes
+        coordinator failover's re-proposal idempotent at the ordering layer.
+        With one lane the block lands at once; otherwise a single-shard
+        block buffers in its lane and a cross-shard block triggers the
+        epoch merge.
         """
-        identity = OrderingService.round_identity(block, group)
+        identity = round_identity(block, group)
         if identity in self._identities:
             if self._obs is not None:
                 self._obs.metrics.counter("ordserv.duplicates_suppressed")
@@ -239,6 +190,9 @@ class ShardedOrderingService:
             self._obs.metrics.counter("ordserv.published")
         pending = _PendingBlock(block=block, group=group, sequence=self._sequence)
         self._sequence += 1
+        if self.num_shards == 1:
+            self._finalize(pending, ())
+            return True
         shards = self.shards_of_group(group)
         if len(shards) == 1:
             lane = self._lanes[shards[0]]
@@ -256,7 +210,7 @@ class ShardedOrderingService:
     def flush(self) -> None:
         """Finalise every buffered block and seal the trailing epoch."""
         self._merge_lanes()
-        if len(self._ordered) > self._epoch_start_height:
+        if self.num_shards > 1 and len(self._ordered) > self._epoch_start_height:
             self._seal_epoch()
 
     def flush_conflicting(self, group: ServerGroup) -> None:
@@ -317,7 +271,7 @@ class ShardedOrderingService:
                     )
                 ):
                     raise ProtocolInvariantError(
-                        f"sharded ordering service would finalise block "
+                        "ordering service would finalise block "
                         f"seq={pending.sequence} before buffered dependency "
                         f"seq={prior.sequence} in lane {lane.index}"
                     )
@@ -383,11 +337,18 @@ class ShardedOrderingService:
         return stream_respects_dependencies(self._ordered)
 
     def verify_shard_chains(self) -> bool:
-        """Recompute every lane chain from the finalized stream and compare."""
+        """Recompute every lane chain from the finalized stream and compare.
+
+        Each block's shard stamp must match the shard map too (empty with
+        one lane, whose stream carries no shard structure).
+        """
         heights: Dict[int, int] = {lane.index: 0 for lane in self._lanes}
         heads: Dict[int, bytes] = {lane.index: GENESIS_SHARD_HEAD for lane in self._lanes}
         for ordered in self._ordered:
-            for shard in self._map.shards_of(ordered.group.members):
+            expected = self.shards_of_group(ordered.group) if self.num_shards > 1 else ()
+            if ordered.shards != expected:
+                return False
+            for shard in expected:
                 heights[shard] += 1
                 heads[shard] = fold_shard_head(heads[shard], ordered.block)
         return all(
@@ -399,21 +360,20 @@ class ShardedOrderingService:
 # -- factories -----------------------------------------------------------------------
 
 
-def single_sequencer(reorder_window: int = 0) -> SequencerFactory:
-    """Factory for the classic single-lane :class:`OrderingService`."""
-
-    def build(config) -> Sequencer:
-        del config  # the single sequencer needs no deployment knowledge
-        return OrderingService(reorder_window=reorder_window)
-
-    return build
+#: A factory the deployment calls with its ``SystemConfig`` once the server
+#: set is known; keeps ``ScaledFidesSystem`` ignorant of shard layouts.
+SequencerFactory = Callable[[object], OrderingService]
 
 
 def sharded_sequencer(num_shards: int, epoch_max_blocks: int = 32) -> SequencerFactory:
-    """Factory for a :class:`ShardedOrderingService` over the config's servers."""
+    """Factory for an :class:`OrderingService` over the config's servers.
 
-    def build(config) -> Sequencer:
+    ``sharded_sequencer(1)`` is the paper's single OrdServ and the scaled
+    deployment's default.
+    """
+
+    def build(config) -> OrderingService:
         shard_map = OrderingShardMap.for_servers(config.server_ids, num_shards)
-        return ShardedOrderingService(shard_map, epoch_max_blocks=epoch_max_blocks)
+        return OrderingService(shard_map, epoch_max_blocks=epoch_max_blocks)
 
     return build

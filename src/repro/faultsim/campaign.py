@@ -383,15 +383,14 @@ class CampaignRunner:
 
     @staticmethod
     def _audit_kwargs(system) -> Dict[str, object]:
-        """Anchor-verification arguments for sharded-sequencer deployments."""
+        """Anchor-verification arguments for multi-lane sequencer deployments."""
         ordering = getattr(system, "ordering", None)
-        if ordering is None:
+        if ordering is None or not ordering.epoch_anchors:
             return {}
-        anchors = getattr(ordering, "epoch_anchors", None)
-        shard_map = getattr(ordering, "shard_map", None)
-        if not anchors or shard_map is None:
-            return {}
-        return {"epoch_anchors": anchors, "ordering_shard_map": shard_map}
+        return {
+            "epoch_anchors": ordering.epoch_anchors,
+            "ordering_shard_map": ordering.shard_map,
+        }
 
     @staticmethod
     def _tamper_anchors(system) -> None:

@@ -9,11 +9,11 @@ tree mirrors the protocol's causal structure::
       <phase>             -- get_vote / aggregate / challenge / finalize /
         rpc:<msg type>    --   decision / prepare / order; one RPC child
                           --   per cohort, ending at that peer's round trip
-      order (delivery)    -- scaled deployment only: the OrderingService
-                          --   window, parented across the handoff
+      order (delivery)    -- scaled deployment only: the ordering service's
+                          --   delivery, parented across the handoff
 
 Parent links cross the coordinator -> cohort boundary (RPC spans carry the
-cohort's server id as their resource) and the coordinator -> OrderingService
+cohort's server id as their resource) and the coordinator -> ordering service
 boundary (the round span is handed through ``register_inflight`` and closed
 only when the ordered block is delivered).  Fault injections and
 detections appear as instants, so a Perfetto timeline shows *when* a

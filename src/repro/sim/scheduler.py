@@ -32,19 +32,20 @@ Dependency rules (documented in DESIGN.md section 7):
   parallel-capable (multi-core servers), as in the sequential model.
 * **In-order apply** -- terminal phases (``decision`` broadcasts, ordered
   ``order`` deliveries) serialize per delivering resource and therefore
-  reach cohorts in block order; the ordering service is a single shared
-  resource, so ordered deliveries additionally serialize *across* group
-  coordinators.
+  reach cohorts in block order; each ordering lane is one shared resource
+  (a one-lane sequencer has exactly one), so ordered deliveries
+  additionally serialize *across* group coordinators.
 * **Cross-group rule** -- a new group round starts no earlier than the last
   ordered delivery whose item footprint *conflicts* with its own ended: its
   OCC validation and speculative roots depend on that delivery's applied
   writes.  Non-conflicting deliveries (even of the same group) do not gate
   -- pipelined cohorts chain speculative state over in-flight blocks, just
   as the classic conflict rule allows within one coordinator.  Gating on
-  *completed* deliveries suffices even under a reorder window: an item
-  conflict implies a shared shard server, hence overlapping groups, and a
-  group coordinator force-lands every pending overlapping block
-  (``OrderingService.flush_conflicting``) before its round begins -- so a
+  *completed* deliveries suffices even while sequencer lanes buffer blocks:
+  an item conflict implies a shared shard server, hence overlapping groups,
+  and a group coordinator force-lands every buffered overlapping block
+  (:meth:`repro.core.sequencing.OrderingService.flush_conflicting`) before
+  its round begins -- so a
   conflicting block is always delivered (and recorded here) by the time the
   dependent round's ``begin_block`` computes its frontier.
 """
@@ -94,7 +95,7 @@ class BlockTask:
     done_at: Optional[float] = None
     status: str = "in-flight"
     #: The ordering resource(s) the task's delivery occupied (per-shard
-    #: lanes under a sharded sequencer); None until the delivery closes.
+    #: lanes under a multi-lane sequencer); None until the delivery closes.
     delivery_resources: Optional[Tuple[str, ...]] = None
     _pending_phase: Optional[Tuple[str, float, str]] = None
 
@@ -102,7 +103,7 @@ class BlockTask:
     def gate_at(self) -> float:
         """The time this task stops gating its coordinator's next block.
 
-        A task awaiting its ordered delivery (reorder window) has finished
+        A task awaiting its ordered delivery (lane buffer) has finished
         all coordinator-side work at ``ready_at``; the pending ``order``
         phase occupies the ordering service, not the coordinator.
         """
@@ -273,9 +274,9 @@ class PipelinedRoundScheduler:
     ) -> float:
         """Start an ordered-stream delivery on the given ordering resource(s).
 
-        With the single sequencer all deliveries share ``ORDSERV_RESOURCE``
+        With a one-lane sequencer all deliveries share ``ORDSERV_RESOURCE``
         and serialize globally (the ordering service emits one stream).  A
-        sharded sequencer passes one ``ordserv/s<i>`` resource per involved
+        multi-lane sequencer passes one ``ordserv/s<i>`` resource per involved
         ordering shard: single-shard deliveries serialize only within their
         lane, so shards genuinely interleave on the timeline, while a
         cross-shard delivery names every involved lane and acts as a

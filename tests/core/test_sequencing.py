@@ -1,16 +1,16 @@
-"""The ``Sequencer`` API and the sharded ordering service (DESIGN.md §13).
+"""The lane-sharded ordering service (DESIGN.md §13).
 
 Three layers of coverage:
 
 - :class:`OrderingShardMap` unit semantics (contiguous server cuts, clamping,
   unknown-server rejection);
-- :class:`ShardedOrderingService` driven directly with hand-built co-signed
+- :class:`OrderingService` driven directly with hand-built co-signed
   blocks -- lane buffering, epoch merges, anchor sealing, per-shard flush
-  semantics, and a random-interleaving property sweep;
+  semantics, the one-lane (single OrdServ) case, and a random-interleaving
+  property sweep over 1-4 lanes;
 - the full scaled deployment running over ``sharded_sequencer`` -- identical
   replicated logs, clean anchor-verifying audits, coordinator failover, and
-  the bit-identical regression pinning ``single_sequencer`` to the classic
-  ``OrderingService`` behaviour.
+  the default one-lane deployment charging the single ``ordserv`` resource.
 """
 
 from __future__ import annotations
@@ -19,18 +19,17 @@ import random
 
 import pytest
 
+from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError
 from repro.common.timestamps import Timestamp
 from repro.core.grouping import ServerGroup
-from repro.core.ordserv import OrderingService
-from repro.core.sequencing import (
-    OrderingShardMap,
-    Sequencer,
-    ShardedOrderingService,
-    sharded_sequencer,
-    single_sequencer,
-)
+from repro.core.scaled import ORDSERV_ID, ScaledFidesSystem
+from repro.core.sequencing import OrderingService, OrderingShardMap, sharded_sequencer
 from repro.ledger.block import BlockDecision, make_partial_block
+from repro.net.latency import ConstantLatency
+from repro.obs import Observability
+from repro.sim.context import FixedCompute
+from repro.sim.scheduler import ORDSERV_RESOURCE
 from repro.txn.transaction import ReadSetEntry, Transaction, WriteSetEntry
 from repro.workload.ycsb import PartitionedWorkload
 
@@ -116,7 +115,7 @@ class TestOrderingShardMap:
 
 class TestShardedServiceLanes:
     def test_single_shard_blocks_float_until_flush(self):
-        service = ShardedOrderingService(make_map(2))
+        service = OrderingService(make_map(2))
         publish(service, 0, ["s0"])
         publish(service, 1, ["s2"])
         assert service.pending_count == 2
@@ -129,7 +128,7 @@ class TestShardedServiceLanes:
         assert service.epoch_anchors[0].end_height == 2
 
     def test_cross_shard_block_merges_lanes_and_seals_an_anchor(self):
-        service = ShardedOrderingService(make_map(2))
+        service = OrderingService(make_map(2))
         publish(service, 0, ["s0"])
         publish(service, 1, ["s2"])
         publish(service, 2, ["s1", "s3"])  # spans both shards
@@ -143,7 +142,7 @@ class TestShardedServiceLanes:
         assert service.verify_shard_chains()
 
     def test_publish_is_idempotent_per_round_identity(self):
-        service = ShardedOrderingService(make_map(2))
+        service = OrderingService(make_map(2))
         ok, block, group = publish(service, 0, ["s0"])
         assert ok
         assert service.seen(block, group)
@@ -151,7 +150,7 @@ class TestShardedServiceLanes:
         assert service.pending_count == 1
 
     def test_capacity_drain_lands_prefix_without_an_anchor(self):
-        service = ShardedOrderingService(make_map(2), epoch_max_blocks=2)
+        service = OrderingService(make_map(2), epoch_max_blocks=2)
         publish(service, 0, ["s0"])
         publish(service, 1, ["s1"])
         # The lane hit capacity: blocks landed, but no merge happened, so
@@ -161,7 +160,7 @@ class TestShardedServiceLanes:
         assert service.epoch_anchors == []
 
     def test_flush_conflicting_drains_only_the_overlapping_lane_prefix(self):
-        service = ShardedOrderingService(make_map(2))
+        service = OrderingService(make_map(2))
         publish(service, 0, ["s0"])  # lane 0, before the overlap
         publish(service, 1, ["s1"])  # lane 0, the overlap
         publish(service, 2, ["s0"])  # lane 0, after the overlap: keeps floating
@@ -176,7 +175,7 @@ class TestShardedServiceLanes:
         assert service.epoch_anchors == []
 
     def test_flush_conflicting_ignores_groups_of_other_shards(self):
-        service = ShardedOrderingService(make_map(2))
+        service = OrderingService(make_map(2))
         publish(service, 0, ["s0"])
         other_shard = ServerGroup(members=frozenset({"s3"}), coordinator="s3")
         service.flush_conflicting(other_shard)
@@ -191,7 +190,7 @@ class TestShardedServiceProperty:
 
     @staticmethod
     def _random_run(rng: random.Random, num_shards: int):
-        service = ShardedOrderingService(
+        service = OrderingService(
             make_map(num_shards), epoch_max_blocks=rng.choice([1, 2, 4, 32])
         )
         for counter in range(rng.randint(5, 14)):
@@ -239,10 +238,6 @@ def partitioned_specs(system, count: int, locality: float = 1.0, seed: int = 3):
 
 
 class TestShardedDeployment:
-    def test_sequencer_protocol_is_satisfied_by_both_implementations(self):
-        assert isinstance(OrderingService(), Sequencer)
-        assert isinstance(ShardedOrderingService(make_map(2)), Sequencer)
-
     def test_commits_replicate_one_global_log(self, make_scaled_system):
         system = make_scaled_system(num_servers=4, sequencer=sharded_sequencer(2))
         result = system.run_workload(
@@ -278,34 +273,47 @@ class TestShardedDeployment:
         assert system.audit().ok
 
 
-class TestSingleSequencerRegression:
-    """``sequencer=single_sequencer(w)`` must reproduce the default
-    (reorder-window) deployment bit for bit on the same seed."""
+class TestOneLane:
+    """One lane is the paper's single OrdServ: no merge point to batch for."""
 
-    @staticmethod
-    def _trace(system, count=10):
-        """The deterministic part of a run: outcomes, stream, replica logs.
+    def test_publish_lands_the_block_at_once(self):
+        service = OrderingService(make_map(1))
+        publish(service, 0, ["s0"])
+        assert (service.pending_count, service.stream_length) == (0, 1)
+        publish(service, 1, ["s1", "s3"])
+        assert (service.pending_count, service.stream_length) == (0, 2)
+        # The stream carries no shard structure.
+        assert [o.shards for o in service.ordered_blocks] == [(), ()]
+        assert service.verify_shard_chains()
 
-        (Virtual end-time is excluded: the default compute model charges
-        *measured* wall time, which is not seed-reproducible.)
-        """
+    def test_flush_seals_no_anchor(self):
+        service = OrderingService(make_map(1))
+        sealed = []
+        service.subscribe_anchors(sealed.append)
+        for counter in range(3):
+            publish(service, counter, [SERVERS[counter]])
+        service.flush()
+        assert service.stream_length == 3
+        assert service.epoch_anchors == [] and sealed == []
+
+    def test_default_deployment_delivers_on_the_ordserv_resource(self):
+        obs = Observability(tracing=True)
+        system = ScaledFidesSystem(
+            SystemConfig(
+                num_servers=4, items_per_shard=40, txns_per_block=2, ops_per_txn=2, seed=11
+            ),
+            latency=ConstantLatency(0.0002),
+            compute_model=FixedCompute(0.001),
+            obs=obs,
+        )
+        assert system.ordering.num_shards == 1
         result = system.run_workload(
-            partitioned_specs(system, count, locality=0.8), num_clients=2
+            partitioned_specs(system, 8, locality=0.5), num_clients=2
         )
-        return (
-            result.committed,
-            tuple(o.block.block_hash() for o in system.ordering.ordered_blocks),
-            {
-                server_id: tuple(block.block_hash() for block in server.log)
-                for server_id, server in system.servers.items()
-            },
-        )
-
-    @pytest.mark.parametrize("window", [0, 2])
-    def test_same_seed_traces_are_bit_identical(self, make_scaled_system, window):
-        default = make_scaled_system(num_servers=4, reorder_window=window)
-        injected = make_scaled_system(
-            num_servers=4, sequencer=single_sequencer(window)
-        )
-        assert self._trace(default) == self._trace(injected)
-        assert isinstance(injected.ordering, OrderingService)
+        assert result.committed == 8
+        deliveries = [span for span in obs.tracer.spans if span.category == "delivery"]
+        assert len(deliveries) == system.ordering.stream_length > 0
+        assert {span.resource for span in deliveries} == {ORDSERV_ID}
+        assert set(system.sim.scheduler.delivery_busy()) == {ORDSERV_RESOURCE}
+        assert system.ordering.epoch_anchors == []
+        assert system.audit().ok

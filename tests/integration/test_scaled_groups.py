@@ -10,10 +10,11 @@ same dependency-respecting chain.
 
 from __future__ import annotations
 
+import pytest
 
 from repro.common.timestamps import Timestamp
 from repro.core.grouping import group_for_transaction
-from repro.core.ordserv import OrderingService
+from repro.core.sequencing import OrderingService, OrderingShardMap
 from repro.crypto.cosi import CoSiWitness, cosi_verify, run_cosi_round
 from repro.crypto.keys import keypair_for
 from repro.ledger.block import BlockDecision, make_partial_block
@@ -58,9 +59,14 @@ def group_commit(txn):
     return block.with_cosign(cosign), group
 
 
+def make_service(lanes: int) -> OrderingService:
+    return OrderingService(OrderingShardMap.for_servers(SERVERS, lanes))
+
+
 class TestScaledTfcommit:
-    def test_disjoint_groups_merge_into_one_consistent_log(self):
-        service = OrderingService()
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_disjoint_groups_merge_into_one_consistent_log(self, lanes):
+        service = make_service(lanes)
         logs = {sid: TransactionLog() for sid in SERVERS}
         for sid in SERVERS:
             service.subscribe(lambda ob, log=logs[sid]: log.append(ob.block, verify_link=False))
@@ -77,8 +83,9 @@ class TestScaledTfcommit:
         assert all(len(log) == 2 for log in logs.values())
         assert service.verify_dependency_order()
 
-    def test_overlapping_groups_preserve_dependency_order(self):
-        service = OrderingService(reorder_window=2)
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_overlapping_groups_preserve_dependency_order(self, lanes):
+        service = make_service(lanes)
         txn_first = make_txn("t-first", ["x"], 1)  # group {s1}
         txn_second = make_txn("t-second", ["x", "b0"], 2)  # group {s1, s2}, depends on t-first
         for txn in (txn_first, txn_second):
