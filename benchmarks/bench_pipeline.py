@@ -18,24 +18,23 @@ from repro.bench.experiments import pipeline
 
 def bench_pipeline_sweep(benchmark):
     """Sweep pipeline depth x deployment x batch size."""
-    results, rows = run_once(
+    rows = run_once(
         benchmark,
         pipeline,
         depths=(1, 2),
         deployments=("classic", "scaled"),
         batch_sizes=(4,),
         num_requests=24,
-        return_results=True,
     )
     assert len(rows) == 4
-    by_label = {result.label: result for result in results}
+    by_label = {row["label"]: row for row in rows}
     # Depth-1 anchors: the pipelined schedule IS the sequential schedule.
-    assert by_label["pipeline-classic-d1-b4"].speedup == 1.0
-    assert by_label["pipeline-scaled-d1-b4"].speedup == 1.0
+    assert by_label["pipeline-classic-d1-b4"]["speedup"] == 1.0
+    assert by_label["pipeline-scaled-d1-b4"]["speedup"] == 1.0
     # Depth 2 must beat sequential on simulated throughput in both
     # deployments, with every transaction still committing auditor-clean.
     for label in ("pipeline-classic-d2-b4", "pipeline-scaled-d2-b4"):
-        result = by_label[label]
-        assert result.committed_txns == 24
-        assert result.speedup > 1.1
-        assert result.auditor_clean
+        row = by_label[label]
+        assert row["committed"] == 24
+        assert row["speedup"] > 1.1
+        assert row["audit clean"]

@@ -27,14 +27,14 @@ def bench_scaledgroups_sweep(benchmark):
         return_results=True,
     )
     assert len(rows) == 2
-    for result in results:
+    for result, row in zip(results, rows):
         # Deterministic shape: fully partitioned traffic commits everything
         # and spreads over several coordinators.
         assert result.committed_txns == 24
         assert result.group_coordinators >= 2
-        assert result.scaled_tps > 0
-        assert result.baseline_tps > 0
-    # Wall-clock-noisy shape, asserted loosely: the busiest-coordinator time
-    # model should beat the single coordinator clearly on at least one point
-    # (typically ~2x at 4 servers, ~3x at 6).
-    assert max(result.speedup for result in results) > 1.2
+        assert row["scaled tps"] > 0
+        assert row["baseline tps"] > 0
+    # Wall-clock-noisy shape, asserted loosely: concurrent group
+    # coordinators should beat the single coordinator clearly on at least
+    # one point (typically ~2x at 4 servers, ~3x at 6).
+    assert max(row["speedup"] for row in rows) > 1.2

@@ -71,7 +71,7 @@ def main() -> None:
     print(
         f"Scale-out point: {scaled.committed_txns} txns committed through "
         f"{scaled.distinct_groups} dynamic groups over 4 ordering shards "
-        f"({scaled.scaled_tps:.1f} txns/s simulated)"
+        f"({scaled.throughput_tps:.1f} txns/s simulated)"
     )
 
 

@@ -14,16 +14,15 @@ keep moving without breaking users:
   ``ScaledFidesSystem(sequencer=...)`` accepts, and
   :class:`OrderingShardMap` for key-range -> shard placement.
 - **Experiments**: :func:`run` executes one :class:`ExperimentConfig`
-  point, choosing the deployment from ``config.deployment`` -- the single
-  entrypoint that replaced the per-deployment runner functions (which stay
-  importable here for callers that want them explicitly).
+  point, building the deployment ``config.deployment`` names, and returns
+  one :class:`ExperimentResult` for either deployment.
 
 Quickstart::
 
     from repro.api import ExperimentConfig, run
 
     result = run(ExperimentConfig(num_servers=5, num_requests=50))
-    print(result.throughput)
+    print(result.throughput_tps)
 
 Scale-out (paper §4.6 + the sharded sequencer)::
 
@@ -39,12 +38,7 @@ from __future__ import annotations
 
 from repro.audit.auditor import Auditor
 from repro.audit.report import AuditReport
-from repro.bench.experiments import run
-from repro.bench.harness import (
-    ExperimentConfig,
-    run_experiment,
-    run_scaled_from_config,
-)
+from repro.bench.harness import ExperimentConfig, ExperimentResult, run
 from repro.common.config import SystemConfig
 from repro.core.fides import FidesSystem
 from repro.core.ordserv import OrderedBlock
@@ -62,6 +56,7 @@ __all__ = [
     "Auditor",
     "EpochAnchor",
     "ExperimentConfig",
+    "ExperimentResult",
     "FidesSystem",
     "OrderedBlock",
     "OrderingService",
@@ -70,7 +65,5 @@ __all__ = [
     "SequencerFactory",
     "SystemConfig",
     "run",
-    "run_experiment",
-    "run_scaled_from_config",
     "sharded_sequencer",
 ]

@@ -13,42 +13,29 @@ live here as well; they back the design-choice discussion in DESIGN.md.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.bench.harness import (
     ExperimentConfig,
     ExperimentResult,
-    PipelineExperimentResult,
-    ScaledExperimentResult,
-    run_experiment,
-    run_pipelined_experiment,
-    run_scaled_from_config,
+    _build,
+    _execute,
+    run,
 )
-from repro.common.errors import ConfigurationError
 from repro.core.fides import PROTOCOL_2PC, PROTOCOL_TFCOMMIT
-from repro.net.latency import lan_latency, wan_latency
+from repro.net.latency import ConstantLatency, lan_latency, wan_latency
 
 
 def _rows(results: Sequence[ExperimentResult]) -> List[Dict[str, object]]:
     return [result.as_row() for result in results]
 
 
-def run(config: ExperimentConfig, latency=None):
-    """Run one experiment point; the deployment is chosen by the config.
-
-    This is the single entrypoint the :mod:`repro.api` facade exports:
-    ``config.deployment`` selects the runner (``"classic"`` -> one
-    coordinator over the whole cluster, ``"scaled"`` -> dynamic groups plus
-    the ordering service), so callers no longer pick a runner function by
-    deployment.
-    """
-    if config.deployment == "classic":
-        return run_experiment(config, latency=latency)
-    if config.deployment == "scaled":
-        return run_scaled_from_config(config, latency=latency)
-    raise ConfigurationError(
-        f"unknown deployment {config.deployment!r} (expected 'classic' or 'scaled')"
-    )
+def _speedup(result: ExperimentResult, reference: ExperimentResult) -> float:
+    """``result``'s throughput over ``reference``'s (0.0 if that is zero)."""
+    if reference.throughput_tps <= 0:
+        return 0.0
+    return result.throughput_tps / reference.throughput_tps
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +64,7 @@ def figure12_2pc_vs_tfcommit(
                 txns_per_block=1,
                 num_requests=num_requests,
             )
-            results.append(run_experiment(config))
+            results.append(run(config))
     return (results, _rows(results)) if return_results else _rows(results)
 
 
@@ -110,7 +97,7 @@ def figure13_txns_per_block(
             num_requests=max(num_requests, batch),
             fixed_compute_ms=fixed_compute_ms,
         )
-        results.append(run_experiment(config))
+        results.append(run(config))
     return (results, _rows(results)) if return_results else _rows(results)
 
 
@@ -141,7 +128,7 @@ def figure14_number_of_servers(
             txns_per_block=txns_per_block,
             num_requests=num_requests,
         )
-        results.append(run_experiment(config))
+        results.append(run(config))
     return (results, _rows(results)) if return_results else _rows(results)
 
 
@@ -170,7 +157,7 @@ def figure15_items_per_shard(
             txns_per_block=txns_per_block,
             num_requests=num_requests,
         )
-        results.append(run_experiment(config))
+        results.append(run(config))
     return (results, _rows(results)) if return_results else _rows(results)
 
 
@@ -206,7 +193,7 @@ def multiclient_scaling(
             num_clients=clients,
             fixed_compute_ms=fixed_compute_ms,
         )
-        results.append(run_experiment(config))
+        results.append(run(config))
     return (results, _rows(results)) if return_results else _rows(results)
 
 
@@ -261,21 +248,24 @@ def scaledgroups(
 
     Each point drives a locality-partitioned workload through a
     :class:`~repro.core.scaled.ScaledFidesSystem` (per-group TFCommit rounds
-    merged by the ordering service) and through the classic single-coordinator
-    deployment, reporting scaled vs baseline throughput.  Group coordinators
-    are distinct machines, so the scaled run's simulated duration is the
-    busiest coordinator's, not the sum -- the speedup column quantifies how
-    much the dynamic groups buy at each locality level.
+    merged by the ordering service), then replays the same specs on the
+    classic single-coordinator deployment, reporting scaled vs baseline
+    throughput.  Group coordinators are distinct machines whose rounds
+    interleave on the shared timeline, so the scaled run's simulated
+    duration is its makespan, not the sum -- the speedup column quantifies
+    how much the dynamic groups buy at each locality level.
 
     ``smoke=True`` restricts the grid to one point per axis (the CI
-    configuration).
+    configuration).  ``return_results=True`` also returns the scaled runs'
+    :class:`ExperimentResult` objects; the baseline lives in the rows.
     """
     if smoke:
         server_counts = tuple(server_counts)[:1]
         localities = tuple(localities)[:1]
         batch_sizes = tuple(batch_sizes)[:1]
         num_requests = min(num_requests, 16)
-    results: List[ScaledExperimentResult] = []
+    results: List[ExperimentResult] = []
+    rows: List[Dict[str, object]] = []
     for servers in server_counts:
         for locality in localities:
             for batch in batch_sizes:
@@ -291,8 +281,26 @@ def scaledgroups(
                     group_size=group_size,
                     locality=locality,
                 )
-                results.append(run_scaled_from_config(config))
-    rows = [result.as_row() for result in results]
+                _, specs, scaled = _execute(config)
+                _, _, baseline = _execute(replace(config, deployment="classic"), specs=specs)
+                results.append(scaled)
+                rows.append(
+                    {
+                        "label": config.label,
+                        "servers": servers,
+                        "group size": group_size,
+                        "locality": locality,
+                        "txns/block": batch,
+                        "committed": scaled.committed_txns,
+                        "aborted": scaled.aborted_txns,
+                        "coordinators": scaled.group_coordinators,
+                        "groups": scaled.distinct_groups,
+                        "scaled tps": round(scaled.throughput_tps, 1),
+                        "baseline tps": round(baseline.throughput_tps, 1),
+                        "speedup": round(_speedup(scaled, baseline), 2),
+                        "txn latency (ms)": round(scaled.txn_latency_ms, 3),
+                    }
+                )
     return (results, rows) if return_results else rows
 
 
@@ -343,9 +351,9 @@ def scaleout(
             num_requests = 38_400
     if num_requests is None:
         num_requests = 170_000
-    results: List[ScaledExperimentResult] = []
+    results: List[ExperimentResult] = []
     rows: List[Dict[str, object]] = []
-    reference_tps: Dict[float, float] = {}
+    references: Dict[float, ExperimentResult] = {}
     for ratio in cross_shard_ratios:
         for shards in shard_counts:
             config = ExperimentConfig(
@@ -364,9 +372,9 @@ def scaleout(
                 epoch_max_blocks=epoch_max_blocks,
                 fixed_compute_ms=fixed_compute_ms,
             )
-            result = run_scaled_from_config(config, baseline=False)
+            result = run(config)
             results.append(result)
-            reference = reference_tps.setdefault(ratio, result.scaled_tps)
+            reference = references.setdefault(ratio, result)
             rows.append(
                 {
                     "label": config.label,
@@ -375,14 +383,13 @@ def scaleout(
                     "cross ratio": ratio,
                     "requests": num_requests,
                     "committed": result.committed_txns,
+                    "aborted": result.aborted_txns,
                     "groups": result.distinct_groups,
                     "epochs": result.epochs,
-                    "scaled tps": round(result.scaled_tps, 1),
+                    "scaled tps": round(result.throughput_tps, 1),
                     "ordserv busy": round(result.ordering_busy_frac, 3),
-                    "speedup vs 1 shard": (
-                        round(result.scaled_tps / reference, 2) if reference > 0 else 0.0
-                    ),
-                    "makespan (s)": round(result.scaled_time_s, 4),
+                    "speedup vs 1 shard": round(_speedup(result, reference), 2),
+                    "makespan (s)": round(result.total_time_s, 4),
                 }
             )
     return (results, rows) if return_results else rows
@@ -416,6 +423,8 @@ def pipeline(
     deployment (the CI configuration).  ``obs`` is the shared
     :class:`~repro.obs.Observability` bundle the traced CLI threads through
     every point's systems (``--trace``/``--metrics``).
+    ``return_results=True`` also returns the pipelined runs'
+    :class:`ExperimentResult` objects; the comparison lives in the rows.
     """
     depths = tuple(depths)
     deployments = tuple(deployments)
@@ -424,24 +433,52 @@ def pipeline(
         depths = tuple(d for d in depths if d >= 2)[:1] or (2,)
         batch_sizes = batch_sizes[:1]
         num_requests = min(num_requests, 16)
-    results: List[PipelineExperimentResult] = []
+    results: List[ExperimentResult] = []
+    rows: List[Dict[str, object]] = []
     for deployment in deployments:
         scaled = deployment == "scaled"
         for depth in depths:
             for batch in batch_sizes:
-                results.append(
-                    run_pipelined_experiment(
-                        label=f"pipeline-{deployment}-d{depth}-b{batch}",
-                        pipeline_depth=depth,
-                        num_servers=num_servers,
-                        group_size=group_size if scaled else 0,
-                        txns_per_block=batch,
-                        num_requests=num_requests,
-                        num_clients=2 if scaled else 1,
-                        obs=obs,
-                    )
+                config = ExperimentConfig(
+                    label=f"pipeline-{deployment}-d{depth}-b{batch}",
+                    deployment=deployment,
+                    num_servers=num_servers,
+                    items_per_shard=200,
+                    txns_per_block=batch,
+                    ops_per_txn=2,
+                    num_requests=num_requests,
+                    num_clients=2 if scaled else 1,
+                    pipeline_depth=depth,
+                    fixed_compute_ms=1.0,
+                    group_size=group_size,
                 )
-    rows = [result.as_row() for result in results]
+                system, specs, pipelined = _execute(config, obs=obs)
+                # The depth-1 schedule IS the sequential schedule; deeper
+                # points replay the same specs at depth 1 for the comparison.
+                sequential_system, sequential = system, pipelined
+                if depth > 1:
+                    sequential_system, _, sequential = _execute(
+                        replace(config, pipeline_depth=1), obs=obs, specs=specs
+                    )
+                audit_clean = system.audit().ok and (
+                    sequential_system is system or sequential_system.audit().ok
+                )
+                results.append(pipelined)
+                rows.append(
+                    {
+                        "label": config.label,
+                        "servers": num_servers,
+                        "groups": deployment,
+                        "depth": depth,
+                        "txns/block": batch,
+                        "committed": pipelined.committed_txns,
+                        "blocks": pipelined.blocks,
+                        "pipelined tps": round(pipelined.throughput_tps, 1),
+                        "sequential tps": round(sequential.throughput_tps, 1),
+                        "speedup": round(_speedup(pipelined, sequential), 3),
+                        "audit clean": audit_clean,
+                    }
+                )
     return (results, rows) if return_results else rows
 
 
@@ -481,12 +518,7 @@ def recovery(
     import tempfile
     import time as _time
 
-    from repro.bench.harness import locality_partitions
-    from repro.common.config import SystemConfig
-    from repro.core.scaled import ScaledFidesSystem
-    from repro.net.latency import ConstantLatency
     from repro.recovery import FileStateStore
-    from repro.workload.ycsb import PartitionedWorkload
 
     gap_requests = tuple(gap_requests)
     if num_requests is not None:
@@ -507,28 +539,19 @@ def recovery(
                     if store_kind == "wal"
                     else None
                 )
-                config = SystemConfig(
-                    num_servers=num_servers,
-                    items_per_shard=items_per_shard,
-                    txns_per_block=txns_per_block,
-                    ops_per_txn=2,
-                    multi_versioned=False,
-                    message_signing="hash",
-                    seed=2020,
-                )
-                system = ScaledFidesSystem(
-                    config,
+                system, workload = _build(
+                    ExperimentConfig(
+                        deployment="scaled",
+                        num_servers=num_servers,
+                        items_per_shard=items_per_shard,
+                        txns_per_block=txns_per_block,
+                        ops_per_txn=2,
+                        group_size=group_size,
+                    ),
                     latency=ConstantLatency(0.0002),
                     state_store_factory=factory,
                 )
-                workload = PartitionedWorkload(
-                    partitions=locality_partitions(system, group_size),
-                    ops_per_txn=2,
-                    locality=1.0,
-                    conflict_free_window=txns_per_block,
-                    seed=2020,
-                )
-                target = config.server_ids[-1]
+                target = system.config.server_ids[-1]
                 workload_started = _time.perf_counter()
                 warmup = system.run_workload(
                     workload.generate(warmup_requests), num_clients=num_clients
@@ -599,14 +622,8 @@ def failover(
     """
     import time as _time
 
-    from repro.bench.harness import locality_partitions
-    from repro.common.config import SystemConfig
-    from repro.core.fides import FidesSystem
-    from repro.core.scaled import ScaledFidesSystem
     from repro.faultsim.plan import FaultPlan
     from repro.faultsim.policy import PlannedFaultPolicy
-    from repro.net.latency import ConstantLatency
-    from repro.workload.ycsb import PartitionedWorkload, YcsbWorkload
 
     deployments = tuple(deployments)
     stall_requests = tuple(stall_requests)
@@ -617,35 +634,19 @@ def failover(
 
     results = []
     for deployment in deployments:
-        scaled = deployment == "scaled"
         for stall in stall_requests:
-            config = SystemConfig(
-                num_servers=num_servers,
-                items_per_shard=items_per_shard,
-                txns_per_block=txns_per_block,
-                ops_per_txn=2,
-                multi_versioned=False,
-                message_signing="hash",
-                seed=2020,
+            system, workload = _build(
+                ExperimentConfig(
+                    deployment=deployment,
+                    num_servers=num_servers,
+                    items_per_shard=items_per_shard,
+                    txns_per_block=txns_per_block,
+                    ops_per_txn=2,
+                    group_size=group_size,
+                ),
+                latency=ConstantLatency(0.0002),
             )
-            if scaled:
-                system = ScaledFidesSystem(config, latency=ConstantLatency(0.0002))
-                workload = PartitionedWorkload(
-                    partitions=locality_partitions(system, group_size),
-                    ops_per_txn=2,
-                    locality=1.0,
-                    conflict_free_window=txns_per_block,
-                    seed=2020,
-                )
-            else:
-                system = FidesSystem(config, latency=ConstantLatency(0.0002))
-                workload = YcsbWorkload(
-                    item_ids=list(system.shard_map.all_items()),
-                    ops_per_txn=2,
-                    conflict_free_window=txns_per_block,
-                    seed=2020,
-                )
-            target = config.server_ids[0]
+            target = system.config.server_ids[0]
             warmup = system.run_workload(
                 workload.generate(warmup_requests), num_clients=num_clients
             )
@@ -709,7 +710,7 @@ def ablation_latency_regime(
             txns_per_block=20,
             num_requests=num_requests,
         )
-        results.append(run_experiment(config, latency=latency))
+        results.append(run(config, latency=latency))
     return (results, _rows(results)) if return_results else _rows(results)
 
 
@@ -729,7 +730,7 @@ def ablation_signing_scheme(
             num_requests=num_requests,
             message_signing=scheme,
         )
-        results.append(run_experiment(config))
+        results.append(run(config))
     return (results, _rows(results)) if return_results else _rows(results)
 
 

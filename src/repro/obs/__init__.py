@@ -45,6 +45,14 @@ class Observability:
         self.tracer.enabled = True
         return self
 
+    def crypto_seconds(self) -> float:
+        """Measured wall time spent in crypto so far (``crypto.*.s``)."""
+        return sum(
+            value
+            for name, value in self.metrics.counters_matching("crypto.").items()
+            if name.endswith(".s")
+        )
+
     def attribution(self, makespan: Optional[float] = None) -> Dict:
         """The bench report's per-phase / per-subsystem attribution block.
 
@@ -53,15 +61,10 @@ class Observability:
         time (crypto, storage) -- each entry says which it is by its
         metric name (DESIGN.md section 12).
         """
-        crypto_s = sum(
-            value
-            for name, value in self.metrics.counters_matching("crypto.").items()
-            if name.endswith(".s")
-        )
         block: Dict = {
             "phases_s": self.tracer.phase_attribution(),
             "subsystems": {
-                "crypto_wall_s": crypto_s,
+                "crypto_wall_s": self.crypto_seconds(),
                 "net_bytes_total": self.metrics.counter_value("net.bytes_total"),
                 "net_bytes_per_type": {
                     name[len("net.bytes."):]: value

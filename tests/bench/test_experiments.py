@@ -7,6 +7,7 @@ columns the reporting layer expects.
 
 from __future__ import annotations
 
+import pytest
 
 from repro.bench.experiments import (
     EXPERIMENT_REGISTRY,
@@ -59,8 +60,9 @@ class TestFigureSweeps:
         row = rows[0]
         assert {"servers", "locality", "scaled tps", "baseline tps", "speedup"} <= set(row)
         assert results[0].group_coordinators >= 2
-        assert results[0].scaled_tps > 0
-        assert results[0].baseline_tps > 0
+        assert row["scaled tps"] > 0
+        assert row["baseline tps"] > 0
+        assert row["aborted"] == results[0].aborted_txns
 
     def test_scaleout_tiny_rows(self):
         from repro.bench.experiments import scaleout
@@ -76,6 +78,7 @@ class TestFigureSweeps:
         assert [row["shards"] for row in rows] == [1, 2]
         for row in rows:
             assert {"scaled tps", "ordserv busy", "speedup vs 1 shard", "epochs"} <= set(row)
+        assert [row["aborted"] for row in rows] == [r.aborted_txns for r in results]
         # The 1-shard point anchors the per-ratio speedup column at 1.0.
         assert rows[0]["speedup vs 1 shard"] == 1.0
         assert all(result.committed_txns > 0 for result in results)
@@ -95,31 +98,67 @@ class TestFigureSweeps:
         } <= set(EXPERIMENT_REGISTRY)
 
 
+#: Per-deployment knobs of the facade tests' tiny run.
+FACADE_KNOBS = {
+    "classic": dict(num_servers=3, items_per_shard=100, txns_per_block=2, ops_per_txn=2),
+    "scaled": dict(
+        num_servers=4, group_size=1, items_per_shard=60, locality=1.0, ordering_shards=2
+    ),
+}
+
+
+def facade_config(deployment: str, **overrides):
+    from repro.api import ExperimentConfig
+
+    knobs = dict(
+        deployment=deployment,
+        num_requests=4,
+        message_signing="hash",
+        fixed_compute_ms=1.0,
+        **FACADE_KNOBS[deployment],
+    )
+    knobs.update(overrides)
+    return ExperimentConfig(**knobs)
+
+
 class TestRunFacade:
-    def test_classic_dispatch(self):
-        from repro.api import ExperimentConfig, run
+    @pytest.mark.parametrize("deployment", sorted(FACADE_KNOBS))
+    def test_dispatch_returns_one_result_type(self, deployment):
+        from repro.api import ExperimentResult, run
 
-        result = run(ExperimentConfig(
-            num_servers=3, items_per_shard=100, num_requests=4,
-            txns_per_block=2, ops_per_txn=2,
-            message_signing="hash", fixed_compute_ms=1.0,
-        ))
+        result = run(facade_config(deployment))
+        assert type(result) is ExperimentResult
         assert result.committed_txns == 4
+        assert result.config.deployment == deployment
+        if deployment == "classic":
+            assert result.group_coordinators == 1
+            assert result.epochs == 0
+            assert result.ordering_busy_frac == 0.0
+        else:
+            assert result.config.ordering_shards == 2
+            assert result.group_coordinators >= 1
+            assert result.distinct_groups >= 1
 
-    def test_scaled_dispatch(self):
-        from repro.api import ExperimentConfig, run
+    def test_shared_obs_reports_each_runs_own_crypto(self):
+        from repro.api import run
+        from repro.obs import Observability
 
-        result = run(ExperimentConfig(
-            deployment="scaled", num_servers=4, group_size=1,
-            items_per_shard=60, num_requests=4, locality=1.0,
-            ordering_shards=2, message_signing="hash", fixed_compute_ms=1.0,
-        ))
-        assert result.committed_txns == 4
-        assert result.ordering_shards == 2
+        obs = Observability()
+        first = run(facade_config("classic", label="first"), obs=obs)
+        after_first = obs.crypto_seconds()
+        second = run(facade_config("classic", label="second"), obs=obs)
+        after_second = obs.crypto_seconds()
+        assert after_first > 0
+        assert first.crypto_ms_per_block == pytest.approx(
+            after_first / first.blocks * 1000.0
+        )
+        # The bundle's running total includes the first run; the second
+        # run's figure must come from its own increment only.
+        assert second.crypto_ms_per_block == pytest.approx(
+            (after_second - after_first) / second.blocks * 1000.0
+        )
 
     def test_unknown_deployment_rejected(self):
-        import pytest
-
         from repro.api import ExperimentConfig, run
         from repro.common.errors import ConfigurationError
 

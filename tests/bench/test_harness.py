@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import ExperimentConfig, run_average, run_experiment
+from repro.bench.harness import ExperimentConfig, run
 from repro.core.fides import PROTOCOL_2PC, PROTOCOL_TFCOMMIT
 
 
@@ -25,13 +25,13 @@ def tiny_config(**overrides):
 
 class TestExperimentRunner:
     def test_all_requests_commit(self):
-        result = run_experiment(tiny_config())
+        result = run(tiny_config())
         assert result.committed_txns == 4
         assert result.aborted_txns == 0
         assert result.blocks == 2
 
     def test_metrics_are_positive_and_consistent(self):
-        result = run_experiment(tiny_config())
+        result = run(tiny_config())
         assert result.throughput_tps > 0
         assert result.block_latency_ms > 0
         assert result.txn_latency_ms <= result.block_latency_ms
@@ -40,56 +40,37 @@ class TestExperimentRunner:
         )
 
     def test_as_row_has_report_columns(self):
-        row = run_experiment(tiny_config()).as_row()
+        row = run(tiny_config()).as_row()
         for column in ("protocol", "servers", "throughput (txns/s)", "txn latency (ms)"):
             assert column in row
 
     def test_2pc_runs_too(self):
-        result = run_experiment(tiny_config(protocol=PROTOCOL_2PC, label="tiny-2pc"))
+        result = run(tiny_config(protocol=PROTOCOL_2PC, label="tiny-2pc"))
         assert result.committed_txns == 4
         assert result.mht_update_ms == 0.0
 
     def test_tfcommit_slower_than_2pc_at_batch_one(self):
-        tfc = run_experiment(tiny_config(txns_per_block=1))
-        twopc = run_experiment(tiny_config(protocol=PROTOCOL_2PC, txns_per_block=1))
+        tfc = run(tiny_config(txns_per_block=1))
+        twopc = run(tiny_config(protocol=PROTOCOL_2PC, txns_per_block=1))
         assert tfc.txn_latency_ms > twopc.txn_latency_ms
         assert twopc.throughput_tps > tfc.throughput_tps
 
-    def test_run_average_merges_repeats(self):
-        merged = run_average(tiny_config(), repeats=2)
-        assert merged.committed_txns == 4
-        assert merged.throughput_tps > 0
-
-    def test_run_average_keeps_phase_breakdown_and_blocks(self):
-        # Regression: with repeats > 1 the merged result used to drop the
-        # per-phase means entirely.
-        merged = run_average(tiny_config(), repeats=2)
-        assert merged.blocks == 2
-        assert merged.phase_ms
-        singles = [run_experiment(tiny_config(seed=2020 + i)) for i in range(2)]
-        assert set(merged.phase_ms) == {name for run in singles for name in run.phase_ms}
-        assert all(value > 0 for value in merged.phase_ms.values())
-
-    def test_run_average_rejects_zero_repeats(self):
-        with pytest.raises(ValueError):
-            run_average(tiny_config(), repeats=0)
-
     def test_phase5_work_lands_in_finalize_phase(self):
-        result = run_experiment(tiny_config())
+        result = run(tiny_config())
         assert "finalize" in result.phase_ms
         assert result.phase_ms["finalize"] > 0
 
     def test_multi_client_commits_match_single_client(self):
         # Acceptance criterion: num_clients >= 4 commits the same transaction
         # count as the single-client baseline under a conflict-free workload.
-        baseline = run_experiment(tiny_config(num_requests=8))
-        multi = run_experiment(tiny_config(num_requests=8, num_clients=4))
+        baseline = run(tiny_config(num_requests=8))
+        multi = run(tiny_config(num_requests=8, num_clients=4))
         assert multi.committed_txns == baseline.committed_txns == 8
         assert multi.aborted_txns == 0
         assert multi.blocks == baseline.blocks
 
     def test_as_row_reports_client_count(self):
-        row = run_experiment(tiny_config(num_clients=2, num_requests=4)).as_row()
+        row = run(tiny_config(num_clients=2, num_requests=4)).as_row()
         assert row["clients"] == 2
 
     def test_system_config_derivation(self):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.bench.harness import run_pipelined_experiment
+from repro.bench.experiments import pipeline
 from repro.common.config import SystemConfig
 from repro.core.fides import FidesSystem
 from repro.net.latency import lan_latency
@@ -11,31 +11,39 @@ from repro.txn.operations import WriteOp
 from repro.workload.ycsb import TransactionSpec
 
 
+def pipeline_point(deployment: str, depth: int, num_requests: int):
+    """One ``pipeline`` sweep row: ``depth`` vs depth 1 on the same specs."""
+    (row,) = pipeline(
+        depths=(depth,),
+        deployments=(deployment,),
+        batch_sizes=(4,),
+        num_requests=num_requests,
+    )
+    return row
+
+
 class TestPipelinedExperiment:
     def test_depth_one_speedup_is_exactly_one(self):
-        result = run_pipelined_experiment("anchor", pipeline_depth=1, num_requests=16)
-        assert result.speedup == 1.0
-        assert result.pipelined_time_s == result.sequential_time_s
+        row = pipeline_point("classic", 1, num_requests=16)
+        assert row["speedup"] == 1.0
+        assert row["pipelined tps"] == row["sequential tps"]
 
     def test_depth_two_beats_sequential_classic(self):
-        result = run_pipelined_experiment("classic", pipeline_depth=2, num_requests=24)
-        assert result.committed_txns == 24
-        assert result.speedup > 1.05
-        assert result.auditor_clean
+        row = pipeline_point("classic", 2, num_requests=24)
+        assert row["committed"] == 24
+        assert row["speedup"] > 1.05
+        assert row["audit clean"]
 
     def test_depth_two_beats_sequential_scaled(self):
-        result = run_pipelined_experiment(
-            "scaled", pipeline_depth=2, group_size=2, num_requests=24
-        )
-        assert result.committed_txns == 24
-        assert result.speedup > 1.05
-        assert result.auditor_clean
+        row = pipeline_point("scaled", 2, num_requests=24)
+        assert row["committed"] == 24
+        assert row["speedup"] > 1.05
+        assert row["audit clean"]
 
     def test_results_are_deterministic(self):
-        a = run_pipelined_experiment("rep", pipeline_depth=2, num_requests=16)
-        b = run_pipelined_experiment("rep", pipeline_depth=2, num_requests=16)
-        assert a.pipelined_tps == b.pipelined_tps
-        assert a.sequential_tps == b.sequential_tps
+        assert pipeline_point("classic", 2, num_requests=16) == pipeline_point(
+            "classic", 2, num_requests=16
+        )
 
 
 class TestPipelinedSemantics:
