@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import ExperimentConfig, run
+from repro.bench.harness import ExperimentConfig, percentile, run
 from repro.core.fides import PROTOCOL_2PC, PROTOCOL_TFCOMMIT
 
 
@@ -54,6 +54,37 @@ class TestExperimentRunner:
         twopc = run(tiny_config(protocol=PROTOCOL_2PC, txns_per_block=1))
         assert tfc.txn_latency_ms > twopc.txn_latency_ms
         assert twopc.throughput_tps > tfc.throughput_tps
+
+    def test_phase_breakdown_and_blocks_hold_across_seeds(self):
+        # Regression: a run's per-phase means and block count must not
+        # depend on which seed drew the workload.
+        results = [run(tiny_config(seed=2020 + i)) for i in range(2)]
+        assert [result.blocks for result in results] == [2, 2]
+        assert results[0].phase_ms
+        assert set(results[0].phase_ms) == set(results[1].phase_ms)
+        for result in results:
+            assert all(value > 0 for value in result.phase_ms.values())
+
+    def test_fixed_compute_runs_are_deterministic(self):
+        first = run(tiny_config(fixed_compute_ms=1.0))
+        second = run(tiny_config(fixed_compute_ms=1.0))
+        assert first.total_time_s == second.total_time_s > 0
+        assert first.throughput_tps == second.throughput_tps
+        assert first.block_latency_ms == second.block_latency_ms
+        assert first.mht_hashes_per_block == second.mht_hashes_per_block
+
+    def test_latency_percentiles_are_ordered(self):
+        result = run(tiny_config(num_requests=8, txns_per_block=3))
+        assert 0 < result.txn_latency_p50_ms <= result.txn_latency_p95_ms
+        assert result.txn_latency_p95_ms <= result.txn_latency_p99_ms
+
+    def test_percentile_is_nearest_rank(self):
+        samples = [4.0, 1.0, 3.0, 2.0]
+        assert percentile(samples, 0.5) == 2.0
+        assert percentile(samples, 1.0) == 4.0
+        assert percentile([], 0.5) == 0.0
+        with pytest.raises(ValueError):
+            percentile(samples, 0.0)
 
     def test_phase5_work_lands_in_finalize_phase(self):
         result = run(tiny_config())
